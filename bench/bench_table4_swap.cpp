@@ -56,7 +56,8 @@ int main() {
             << "(budget " << budget / 1000.0
             << "s per exact run; zero-SWAP results count as 1 in the "
                "average ratio, as in the paper)\n\n";
-  Table table({"device", "benchmark", "SABRE", "SATMap", "TB-OLSQ2", "known"},
+  Table table({"device", "benchmark", "SABRE", "SATMap", "TB-OLSQ2", "known",
+               "TB ms", "TB SAT calls"},
               16);
 
   double sabre_ratio_sum = 0, satmap_ratio_sum = 0;
@@ -102,6 +103,10 @@ int main() {
       cells.push_back("TO");
       cells.push_back("-");
     }
+    std::ostringstream tb_ms;
+    tb_ms << std::fixed << std::setprecision(0) << tb.wall_ms;
+    cells.push_back(tb_ms.str());
+    cells.push_back(std::to_string(tb.sat_calls));
     table.print_row(cells);
   }
   std::cout << "\nAvg. ratio vs TB-OLSQ2 (completed cases): SABRE "

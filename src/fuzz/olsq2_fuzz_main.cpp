@@ -26,6 +26,10 @@
 //                       an induced edge from every cyclic enumerated
 //                       subgraph) and require the subarch lift-soundness
 //                       differential oracle to catch the inflated optimum
+//     --inject-tb-bug   self-test: enable the deliberate TB descent bug
+//                       (OLSQ2_FUZZ_INJECT_TB_BOUND_BUG, a compression
+//                       lower bound one SWAP too high) and require the
+//                       plan oracle's proof-claim replay to catch it
 //
 // Both `--flag value` and `--flag=value` spellings are accepted. At least
 // one of --seconds/--iterations must be given (except with --inject-bug,
@@ -33,6 +37,7 @@
 // the printed `--seed B --iterations I` pair. Exit code 0 iff no oracle
 // failed (with --inject-bug: iff the bug WAS caught and reduced).
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -48,7 +53,8 @@ using namespace olsq2;
             << "usage: olsq2_fuzz [--seed N] [--seconds S] [--iterations K]\n"
             << "                  [--out DIR] [--no-reduce] [--stop-on-failure]\n"
             << "                  [--verbose] [--inject-bug] [--inject-sat-bug]\n"
-            << "                  [--inject-plan-bug] [--inject-subarch-bug]\n";
+            << "                  [--inject-plan-bug] [--inject-subarch-bug]\n"
+            << "                  [--inject-tb-bug]\n";
   std::exit(2);
 }
 
@@ -104,22 +110,24 @@ int run_inject_bug_selftest(fuzz::FuzzOptions options) {
   return 0;
 }
 
-int run_inject_sat_bug_selftest(const fuzz::FuzzOptions& options) {
-  // The vivification fault drops one literal per inprocessing round without
-  // justification. A strengthened formula stays satisfiable for many seeds,
-  // so sweep the seed stream until a differential flip or a DRAT rejection
-  // catches it; phase-transition CNF is ~half UNSAT, where the unjustified
-  // proof step is detected directly.
-  setenv("OLSQ2_FUZZ_INJECT_VIVIFY_BUG", "1", /*overwrite=*/1);
+/// Shared loop of the oracle self-tests: arm `env_var`, sweep the seed
+/// stream through `oracle` and pass iff some iteration fails (the armed
+/// bug was caught).
+int run_oracle_selftest(
+    const fuzz::FuzzOptions& options, const char* env_var, const char* flag,
+    const std::string& bug,
+    const std::function<fuzz::OracleReport(std::uint64_t)>& oracle) {
+  setenv(env_var, "1", /*overwrite=*/1);
   const int iterations = options.iterations > 0 ? options.iterations : 200;
   int caught_at = -1;
   std::vector<std::string> errors;
   for (int i = 0; i < iterations; ++i) {
     const std::uint64_t seed = fuzz::derive_seed(options.seed, i);
-    const fuzz::OracleReport result = fuzz::check_inprocess(seed);
+    const fuzz::OracleReport result = oracle(seed);
     if (options.verbose) {
       std::cerr << "[fuzz] iter=" << i << " seed=" << seed
-                << " oracle=inprocess ok=" << (result.ok ? 1 : 0) << "\n";
+                << " oracle=" << result.oracle << " ok=" << (result.ok ? 1 : 0)
+                << "\n";
     }
     if (!result.ok) {
       caught_at = i;
@@ -127,17 +135,30 @@ int run_inject_sat_bug_selftest(const fuzz::FuzzOptions& options) {
       break;
     }
   }
-  unsetenv("OLSQ2_FUZZ_INJECT_VIVIFY_BUG");
+  unsetenv(env_var);
 
   if (caught_at < 0) {
-    std::cerr << "olsq2_fuzz: injected vivification bug was NOT caught in "
+    std::cerr << "olsq2_fuzz: injected " << bug << " bug was NOT caught in "
               << iterations << " iterations\n";
     return 1;
   }
-  std::cout << "inject-sat-bug self-test passed: caught at iteration "
-            << caught_at << "\n";
+  std::cout << flag << " self-test passed: caught at iteration " << caught_at
+            << "\n";
   for (const std::string& e : errors) std::cout << "  " << e << "\n";
   return 0;
+}
+
+int run_inject_sat_bug_selftest(const fuzz::FuzzOptions& options) {
+  // The vivification fault drops one literal per inprocessing round without
+  // justification. A strengthened formula stays satisfiable for many seeds,
+  // so sweep the seed stream until a differential flip or a DRAT rejection
+  // catches it; phase-transition CNF is ~half UNSAT, where the unjustified
+  // proof step is detected directly.
+  return run_oracle_selftest(options, "OLSQ2_FUZZ_INJECT_VIVIFY_BUG",
+                             "inject-sat-bug", "vivification",
+                             [](std::uint64_t seed) {
+                               return fuzz::check_inprocess(seed);
+                             });
 }
 
 int run_inject_plan_bug_selftest(const fuzz::FuzzOptions& options) {
@@ -147,35 +168,11 @@ int run_inject_plan_bug_selftest(const fuzz::FuzzOptions& options) {
   // Zero-swap instances are unaffected (some root reaches the goal with
   // h = 0, so the bug never fires on the certifying path); sweep the seed
   // stream until an instance that needs swaps comes along.
-  setenv("OLSQ2_FUZZ_INJECT_PLAN_BUG", "1", /*overwrite=*/1);
-  const int iterations = options.iterations > 0 ? options.iterations : 200;
-  int caught_at = -1;
-  std::vector<std::string> errors;
-  for (int i = 0; i < iterations; ++i) {
-    const std::uint64_t seed = fuzz::derive_seed(options.seed, i);
-    const fuzz::Instance instance = fuzz::random_instance(seed, options.gen);
-    const fuzz::OracleReport result = fuzz::check_plan(instance);
-    if (options.verbose) {
-      std::cerr << "[fuzz] iter=" << i << " seed=" << seed
-                << " oracle=plan ok=" << (result.ok ? 1 : 0) << "\n";
-    }
-    if (!result.ok) {
-      caught_at = i;
-      errors = result.errors;
-      break;
-    }
-  }
-  unsetenv("OLSQ2_FUZZ_INJECT_PLAN_BUG");
-
-  if (caught_at < 0) {
-    std::cerr << "olsq2_fuzz: injected planning-heuristic bug was NOT caught "
-              << "in " << iterations << " iterations\n";
-    return 1;
-  }
-  std::cout << "inject-plan-bug self-test passed: caught at iteration "
-            << caught_at << "\n";
-  for (const std::string& e : errors) std::cout << "  " << e << "\n";
-  return 0;
+  return run_oracle_selftest(
+      options, "OLSQ2_FUZZ_INJECT_PLAN_BUG", "inject-plan-bug",
+      "planning-heuristic", [&](std::uint64_t seed) {
+        return fuzz::check_plan(fuzz::random_instance(seed, options.gen));
+      });
 }
 
 int run_inject_subarch_bug_selftest(const fuzz::FuzzOptions& options) {
@@ -188,35 +185,27 @@ int run_inject_subarch_bug_selftest(const fuzz::FuzzOptions& options) {
   // isomorphic devices stop producing identical class keys). Tree-shaped
   // subdevices are unaffected; sweep the seed stream until a cyclic
   // instance comes along.
-  setenv("OLSQ2_FUZZ_INJECT_SUBARCH_BUG", "1", /*overwrite=*/1);
-  const int iterations = options.iterations > 0 ? options.iterations : 200;
-  int caught_at = -1;
-  std::vector<std::string> errors;
-  for (int i = 0; i < iterations; ++i) {
-    const std::uint64_t seed = fuzz::derive_seed(options.seed, i);
-    const fuzz::Instance instance = fuzz::random_instance(seed, options.gen);
-    const fuzz::OracleReport result = fuzz::check_subarch(instance, seed);
-    if (options.verbose) {
-      std::cerr << "[fuzz] iter=" << i << " seed=" << seed
-                << " oracle=subarch ok=" << (result.ok ? 1 : 0) << "\n";
-    }
-    if (!result.ok) {
-      caught_at = i;
-      errors = result.errors;
-      break;
-    }
-  }
-  unsetenv("OLSQ2_FUZZ_INJECT_SUBARCH_BUG");
+  return run_oracle_selftest(
+      options, "OLSQ2_FUZZ_INJECT_SUBARCH_BUG", "inject-subarch-bug",
+      "subarch-extractor", [&](std::uint64_t seed) {
+        return fuzz::check_subarch(fuzz::random_instance(seed, options.gen),
+                                   seed);
+      });
+}
 
-  if (caught_at < 0) {
-    std::cerr << "olsq2_fuzz: injected subarch-extractor bug was NOT caught "
-              << "in " << iterations << " iterations\n";
-    return 1;
-  }
-  std::cout << "inject-subarch-bug self-test passed: caught at iteration "
-            << caught_at << "\n";
-  for (const std::string& e : errors) std::cout << "  " << e << "\n";
-  return 0;
+int run_inject_tb_bug_selftest(const fuzz::FuzzOptions& options) {
+  // The armed descent starts its proven lower bound at B_min instead of
+  // B_min-1, so it stops one SWAP short whenever the descent lands on B_min
+  // while the true optimum is B_min-1, and claims a proof for it.
+  // check_plan replays the skipped (one more block, one SWAP fewer) query,
+  // which comes back SAT, and the certified plan optimum undercuts the
+  // claimed one. Instances whose optimum is not B_min-1 are unaffected;
+  // sweep the seed stream until one comes along.
+  return run_oracle_selftest(
+      options, "OLSQ2_FUZZ_INJECT_TB_BOUND_BUG", "inject-tb-bug", "TB bound",
+      [&](std::uint64_t seed) {
+        return fuzz::check_plan(fuzz::random_instance(seed, options.gen));
+      });
 }
 
 }  // namespace
@@ -228,6 +217,7 @@ int main(int argc, char** argv) {
   bool inject_sat_bug = false;
   bool inject_plan_bug = false;
   bool inject_subarch_bug = false;
+  bool inject_tb_bug = false;
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     std::string value;
@@ -253,6 +243,8 @@ int main(int argc, char** argv) {
       inject_plan_bug = true;
     } else if (args[i] == "--inject-subarch-bug") {
       inject_subarch_bug = true;
+    } else if (args[i] == "--inject-tb-bug") {
+      inject_tb_bug = true;
     } else {
       usage_error("unknown argument: " + args[i]);
     }
@@ -262,6 +254,7 @@ int main(int argc, char** argv) {
   if (inject_sat_bug) return run_inject_sat_bug_selftest(options);
   if (inject_plan_bug) return run_inject_plan_bug_selftest(options);
   if (inject_subarch_bug) return run_inject_subarch_bug_selftest(options);
+  if (inject_tb_bug) return run_inject_tb_bug_selftest(options);
 
   if (options.seconds <= 0.0 && options.iterations <= 0) {
     usage_error("need --seconds or --iterations");

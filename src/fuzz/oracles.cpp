@@ -525,7 +525,37 @@ OracleReport check_plan(const Instance& instance) {
                 std::to_string(tb.swap_count) +
                 " (inadmissible heuristic or unsound search)");
   }
-  if (report.ok && planned.swap_count < tb.swap_count) {
+  // TB claims a proof when it stopped on the block-compression bound: no
+  // budget hit and no plateau (two equal SWAP counts) ending `pareto`.
+  const std::size_t points = tb.pareto.size();
+  const bool plateau = points >= 2 && tb.pareto[points - 1].second ==
+                                          tb.pareto[points - 2].second;
+  const bool tb_proven = !tb.hit_budget && points >= 1 && !plateau;
+  if (tb_proven && tb.swap_count >= 1) {
+    // Replay the query the plateau rule would have paid for and the bound
+    // skipped: one more block, one SWAP fewer. It must not be SAT.
+    const int blocks = tb.pareto.back().first + 1;
+    const layout::Result skipped = layout::tb_solve_fixed(
+        problem, blocks, tb.swap_count - 1, {}, kBudgetMs);
+    if (skipped.hit_budget) {
+      report.fail(describe(instance) + ": plan: replay of the skipped TB " +
+                  "query blew the budget");
+    } else if (skipped.solved) {
+      report.fail(describe(instance) + ": plan: TB claims proven optimum " +
+                  std::to_string(tb.swap_count) + " but tb_solve_fixed finds " +
+                  std::to_string(skipped.swap_count) + " swaps at " +
+                  std::to_string(blocks) +
+                  " blocks (unsound compression bound)");
+    }
+  }
+  if (report.ok && planned.swap_count < tb.swap_count && tb_proven) {
+    // A verified plan solution below a proven TB optimum refutes the proof
+    // outright; no plateau can explain it.
+    report.fail(describe(instance) + ": plan: verified solution with " +
+                std::to_string(planned.swap_count) +
+                " swaps beats TB-OLSQ2's proven optimum " +
+                std::to_string(tb.swap_count));
+  } else if (report.ok && planned.swap_count < tb.swap_count) {
     // A machine-verified solution beat the SAT descent. TB's descent stops
     // at the first block relaxation that brings no SWAP improvement, so a
     // plateau-then-drop objective curve makes this legal - but then the

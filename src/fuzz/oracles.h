@@ -65,7 +65,12 @@ OracleReport check_cache(const Instance& instance, std::uint64_t seed);
 ///     extra SAT call (tb_solve_fixed at the plan's bound): SAT means TB's
 ///     patience rule stopped early (legal - its descent terminates on the
 ///     first no-improvement block relaxation), UNSAT refutes the SAT
-///     encoding itself, since a machine-verified cheaper solution exists.
+///     encoding itself, since a machine-verified cheaper solution exists;
+///   - when TB claims a proof (no budget hit, `pareto` not ending on a
+///     plateau), a cheaper verified plan solution is a FAIL outright, and
+///     the query its compression bound skipped - tb_solve_fixed at one
+///     more block and one SWAP fewer - must not be SAT (this is what
+///     OLSQ2_FUZZ_INJECT_TB_BOUND_BUG plants; see --inject-tb-bug).
 /// Also checks plan results against the TB verifier, the heuristic engines'
 /// upper bounds, and that a budget-starved plan run still returns a sound
 /// upper bound (never below the certified optimum).

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <string_view>
 
 #include "encode/cardinality.h"
 #include "obs/metrics.h"
@@ -287,6 +289,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Fault injection for the fuzzing harness (src/fuzz/): when
+// OLSQ2_FUZZ_INJECT_TB_BOUND_BUG is set, the SWAP descent starts its proven
+// lower bound at B_min instead of B_min-1, so it stops one SWAP early and
+// claims a proof whenever the optimum is B_min-1. fuzz::check_plan must
+// catch it (see --inject-tb-bug). Re-read per call so one process can test
+// both arms.
+bool inject_tb_bound_bug() {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): only the single-threaded fuzz
+  // harness sets this variable (and only between solves, never mid-solve).
+  const char* v = std::getenv("OLSQ2_FUZZ_INJECT_TB_BOUND_BUG");
+  return v != nullptr && *v != '\0' && std::string_view(v) != "0";
+}
+
 struct TbSearch {
   Clock::time_point start = Clock::now();
   double budget_ms = 0.0;
@@ -440,17 +455,31 @@ Result tb_synthesize_swap_optimal(const Problem& problem,
   std::vector<std::pair<int, int>> pareto;
   int blocks = phase.blocks;
   int prev_round_swaps = -1;
+  bool out_of_budget = false;
+
+  // Proven lower bound on the SWAP count over every block count, from the
+  // compression lemma (DESIGN.md §1): deleting the SWAP-free transitions of
+  // a t-SWAP solution and merging their blocks leaves a valid solution with
+  // at most t+1 blocks. The block phase refuted B_min-1 blocks, so every
+  // solution needs at least B_min-1 SWAPs.
+  int lower = phase.blocks - (inject_tb_bound_bug() ? 0 : 1);
 
   while (true) {
     // Iterative descent at this block count.
     obs::Span sweep_span("tb.swap_sweep");
     sweep_span.arg("block_bound", blocks);
     int incumbent = best.swap_count;
-    while (incumbent > 0) {
+    while (incumbent > lower) {
       if (search.expired()) break;
       const sat::LBool status = search.solve(
           *model, {model->block_bound(blocks), model->swap_bound(incumbent - 1)},
           blocks, incumbent - 1);
+      if (status == sat::LBool::kFalse) {
+        // No solution with <= blocks blocks and <= t = incumbent-1 SWAPs.
+        // A solution with <= min(t, blocks-1) SWAPs would compress into
+        // <= blocks blocks, so at least min(t+1, blocks) SWAPs are needed.
+        lower = std::max(lower, std::min(incumbent, blocks));
+      }
       if (status != sat::LBool::kTrue) break;
       Result candidate = model->extract();
       if (candidate.swap_count < best.swap_count ||
@@ -462,9 +491,12 @@ Result tb_synthesize_swap_optimal(const Problem& problem,
     }
     pareto.emplace_back(blocks, best.swap_count);
 
-    if (best.swap_count == 0 || search.expired() || search.diag.hit_budget) {
+    if (best.swap_count <= lower) break;  // proven optimal
+    if (search.expired() || search.diag.hit_budget) {
+      out_of_budget = true;
       break;
     }
+    // The paper's rule: stop at the first relaxation that does not improve.
     if (prev_round_swaps >= 0 && best.swap_count >= prev_round_swaps) break;
     prev_round_swaps = best.swap_count;
 
@@ -480,7 +512,7 @@ Result tb_synthesize_swap_optimal(const Problem& problem,
   best.pareto = std::move(pareto);
   best.sat_calls = search.diag.sat_calls;
   best.conflicts = search.diag.conflicts;
-  best.hit_budget = search.diag.hit_budget;
+  best.hit_budget = out_of_budget;
   best.wall_ms = search.elapsed_ms();
   best.calls = std::move(search.diag.calls);
   return best;

@@ -74,7 +74,11 @@ class TbModel {
 
 /// Minimize the block count, then run iterative descent on the SWAP count
 /// (TB-OLSQ2's SWAP objective; Table IV). Relaxes the block count while the
-/// SWAP count keeps improving, mirroring the 2-D sweep.
+/// SWAP count keeps improving, mirroring the 2-D sweep. The sweep also keeps
+/// a proven lower bound from the block-compression lemma (t SWAPs fit in
+/// t+1 blocks): it stops, with a proof, once the incumbent meets that bound
+/// and `hit_budget` is false; otherwise it stops on the paper's plateau rule
+/// (`pareto` then ends on two equal SWAP counts) or on the budget.
 Result tb_synthesize_swap_optimal(const Problem& problem,
                                   const EncodingConfig& config = {},
                                   const OptimizerOptions& options = {});

@@ -99,10 +99,12 @@ void maybe_certify(const Request& request, const layout::Problem& canonical,
   }
   const double budget = request.options.time_budget_ms;
   if (request.engine == Engine::kDepth && entry.result.depth >= 1) {
+    // The horizon must reach the bound being refuted: the optimizer relaxes
+    // past the default horizon when the optimum lies above it.
     const circuit::DependencyGraph deps(*canonical.circuit);
     entry.depth_cert = layout::certify_depth_lower_bound(
-        canonical, deps.default_upper_bound(), entry.result.depth - 1,
-        request.config, budget);
+        canonical, std::max(deps.default_upper_bound(), entry.result.depth),
+        entry.result.depth - 1, request.config, budget);
     entry.has_depth_cert = true;
   } else if (request.engine == Engine::kSwap && entry.result.swap_count >= 1) {
     entry.swap_cert = layout::certify_swap_lower_bound(

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <sstream>
 #include <utility>
 
@@ -52,6 +54,14 @@ layout::Certificate certificate_from(obs::JsonScanner& scan) {
     scan.expect('}');
   }
   return c;
+}
+
+/// Move an unparsable entry aside to `<path>.corrupt` (deleted if the
+/// rename fails) so it is neither re-read nor in the way of a rewrite.
+void quarantine(const std::string& path) {
+  std::error_code ec;
+  fs::rename(path, path + ".corrupt", ec);
+  if (ec) fs::remove(path, ec);
 }
 
 /// Registry handles for the cache, registered eagerly (first ResultCache
@@ -164,13 +174,24 @@ std::optional<CacheEntry> ResultCache::lookup(const std::string& key) {
       buffer << in.rdbuf();
       const std::string text = buffer.str();
       std::string stored_key;
-      CacheEntry entry = entry_from_json(text, &stored_key);
-      if (stored_key == key) {  // byte-for-byte: hash collisions are misses
+      std::optional<CacheEntry> entry;
+      try {
+        entry = entry_from_json(text, &stored_key);
+      } catch (const std::runtime_error&) {
+        // A torn write or a foreign file: a miss, and out of the way of the
+        // insert that will follow it.
+        in.close();
+        quarantine(path_for(key));
+        stats_.corrupt++;
+      }
+      if (entry && stored_key != key) {
+        stats_.key_collisions++;  // byte-for-byte: hash collisions are misses
+      } else if (entry) {
         stats_.bytes_read += text.size();
         obs::counter("serve.cache.bytes",
                      static_cast<double>(stats_.bytes_read +
                                          stats_.bytes_written));
-        touch(key, entry);
+        touch(key, *entry);
         stats_.hits++;
         stats_.disk_hits++;
         obs::counter("serve.cache.hits", static_cast<double>(stats_.hits));
@@ -181,7 +202,6 @@ std::optional<CacheEntry> ResultCache::lookup(const std::string& key) {
         if (span.live()) span.arg("tier", "disk");
         return entry;
       }
-      stats_.key_collisions++;
     }
   }
   stats_.misses++;
@@ -202,9 +222,17 @@ bool ResultCache::insert(const std::string& key, const CacheEntry& entry) {
     std::error_code ec;
     fs::create_directories(options_.disk_dir, ec);
     const std::string text = entry_to_json(key, entry);
-    std::ofstream out(path_for(key));
-    if (out) {
-      out << text;
+    // Write a temp file and rename it into place, so a crash mid-write can
+    // never leave a truncated entry under the real name.
+    const std::string path = path_for(key);
+    const std::string tmp = path + ".tmp";
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    out << text;
+    out.close();
+    if (!out.fail()) fs::rename(tmp, path, ec);
+    if (out.fail() || ec) {
+      fs::remove(tmp, ec);
+    } else {
       stats_.bytes_written += text.size();
       obs::counter("serve.cache.bytes",
                    static_cast<double>(stats_.bytes_read +

@@ -9,7 +9,9 @@
 // tags (serve/canonical.h). Filenames are a 64-bit FNV-1a hash of the key,
 // but the stored key is always compared byte-for-byte before a file is
 // trusted, so a hash collision degrades to a miss (or an overwrite on
-// insert), never to a wrong answer.
+// insert), never to a wrong answer. A file that does not parse (a torn
+// write, a foreign file) is a counted miss too: it is renamed aside to
+// `<name>.corrupt`. Inserts write a temp file and rename it into place.
 //
 // Results are stored in canonical space; un-relabeling to the requesting
 // instance is the caller's job (serve/transfer.h). Unsolved results are
@@ -57,6 +59,7 @@ struct CacheStats {
   std::uint64_t bytes_written = 0;   // persistent-tier writes
   std::uint64_t bytes_read = 0;      // persistent-tier reads (hits only)
   std::uint64_t key_collisions = 0;  // same file hash, different key
+  std::uint64_t corrupt = 0;  // unparsable disk entries (counted as misses)
 };
 
 /// A cached solve: the canonical-space result plus whatever optimality

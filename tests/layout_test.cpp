@@ -126,6 +126,11 @@ struct NamedConfig {
   EncodingConfig config;
 };
 
+// gtest prints the parameter into the listed test name. Its default byte
+// dump would include the address of `name`, which ASLR moves on every run,
+// so the name would never be the same twice.
+void PrintTo(const NamedConfig& c, std::ostream* os) { *os << c.name; }
+
 class EncodingAgreementTest : public ::testing::TestWithParam<NamedConfig> {};
 
 TEST_P(EncodingAgreementTest, OptimalDepthMatches) {

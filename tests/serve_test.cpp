@@ -7,10 +7,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bengen/rng.h"
+#include "circuit/dependency.h"
 #include "device/presets.h"
 #include "fuzz/generator.h"
 #include "fuzz/metamorphic.h"
@@ -280,6 +283,63 @@ TEST(ResultCache, DiskTierSurvivesLruEvictionAndNewInstances) {
   EXPECT_FALSE(cache.lookup("never-inserted").has_value());
 }
 
+TEST(ResultCache, BadDiskFilesAreCountedMisses) {
+  TempDir dir("corrupt");
+  CacheOptions opts;
+  opts.disk_dir = dir.path.string();
+  const auto file_of = [&](const std::string& key) {
+    std::ostringstream name;
+    name << std::hex << fnv1a64(key) << ".json";
+    return dir.path / name.str();
+  };
+  const auto write_file = [](const std::filesystem::path& path,
+                             const std::string& text) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  };
+
+  CacheEntry entry;
+  entry.result = solved_result();
+  const std::string doc = ResultCache::entry_to_json("truncated", entry);
+  {
+    ResultCache writer(opts);
+    for (const char* key : {"truncated", "garbage", "wrong-key"}) {
+      ASSERT_TRUE(writer.insert(key, entry));
+    }
+  }
+  write_file(file_of("truncated"), doc.substr(0, doc.size() / 2));
+  write_file(file_of("garbage"), std::string("\x7f\x00{{not json", 12));
+  write_file(file_of("wrong-key"),
+             ResultCache::entry_to_json("some-other-key", entry));
+
+  ResultCache cache(opts);  // fresh: every lookup goes to disk
+  EXPECT_FALSE(cache.lookup("truncated").has_value());
+  EXPECT_FALSE(cache.lookup("garbage").has_value());
+  EXPECT_FALSE(cache.lookup("wrong-key").has_value());
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.corrupt, 2u);
+  EXPECT_EQ(stats.key_collisions, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+
+  // Unparsable files move aside; a foreign but valid entry stays.
+  for (const char* key : {"truncated", "garbage"}) {
+    EXPECT_FALSE(std::filesystem::exists(file_of(key))) << key;
+    std::filesystem::path aside = file_of(key);
+    aside += ".corrupt";
+    EXPECT_TRUE(std::filesystem::exists(aside)) << key;
+  }
+  EXPECT_TRUE(std::filesystem::exists(file_of("wrong-key")));
+
+  // The next insert takes the name back, and a fresh cache hits it.
+  ASSERT_TRUE(cache.insert("truncated", entry));
+  ResultCache reread(opts);
+  EXPECT_TRUE(reread.lookup("truncated").has_value());
+  EXPECT_EQ(reread.stats().disk_hits, 1u);
+  for (const auto& file : std::filesystem::directory_iterator(dir.path)) {
+    EXPECT_NE(file.path().extension(), ".tmp") << file.path();
+  }
+}
+
 // ---- batch serving ------------------------------------------------------
 
 TEST(Server, BatchDeduplicatesRelabeledRequests) {
@@ -391,6 +451,58 @@ TEST(Server, CertifiedResponsesCacheTheirCertificates) {
   const auto r2 = server2.serve(req);
   EXPECT_FALSE(r2.cache_hit);
   EXPECT_TRUE(r2.has_swap_cert);
+}
+
+TEST(Server, TruncatedDiskCacheDegradesToSolves) {
+  TempDir dir("truncated_batch");
+  ServerOptions opts;
+  opts.cache.disk_dir = dir.path.string();
+  const auto base = triangle_instance();
+  Request req;
+  req.circuit = &base.circuit;
+  req.device = &base.device;
+  req.engine = Engine::kSwap;
+  {
+    Server server(opts);
+    ASSERT_TRUE(server.serve(req).result.solved);
+  }
+  int truncated = 0;
+  for (const auto& file : std::filesystem::directory_iterator(dir.path)) {
+    std::filesystem::resize_file(file.path(), 7);
+    truncated++;
+  }
+  ASSERT_EQ(truncated, 1);
+
+  Server server(opts);
+  const auto response = server.serve(req);
+  ASSERT_TRUE(response.result.solved);
+  EXPECT_FALSE(response.cache_hit);
+  EXPECT_EQ(server.cache().stats().corrupt, 1u);
+  EXPECT_TRUE(layout::verify(base.problem(), response.result).ok);
+}
+
+// The depth optimizer relaxes past the default horizon ceil(1.5 * T_LB)
+// when it must; the certificate's horizon has to follow it there.
+TEST(Server, DepthCertificateCoversOptimaAboveTheDefaultHorizon) {
+  // Found by scanning seeded fuzz instances: 3 gates, S_D = 3, optimum 6.
+  const fuzz::Instance instance =
+      fuzz::random_instance(fuzz::derive_seed(0xdeb7ULL, 139));
+  const circuit::DependencyGraph deps(instance.circuit);
+  Request req;
+  req.circuit = &instance.circuit;
+  req.device = &instance.device;
+  req.swap_duration = instance.swap_duration;
+  req.engine = Engine::kDepth;
+  req.certify = true;
+  req.options.time_budget_ms = 30000;
+
+  Server server;
+  const auto response = server.serve(req);
+  ASSERT_TRUE(response.result.solved);
+  ASSERT_FALSE(response.result.hit_budget);
+  ASSERT_GT(response.result.depth, deps.default_upper_bound());
+  ASSERT_TRUE(response.has_depth_cert);
+  EXPECT_TRUE(response.depth_cert.certified());
 }
 
 TEST(Server, TransitionBasedRequestsServeAndHit) {
