@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -159,21 +158,16 @@ int next_relaxed_bound(int t_b, const OptimizerOptions& options) {
 
 /// Build a Model wired for this optimizer run: restart policy, cooperative
 /// cancellation, VSIDS seed, and (when sharing is on) the eager bound
-/// materialization + clause-exchange registration. `probe_index`
-/// differentiates speculative probes so their tie-breaking diverges while
-/// staying reproducible.
+/// materialization + clause-exchange registration.
 std::unique_ptr<Model> make_configured_model(const Problem& problem, int t_ub,
                                              const EncodingConfig& config,
                                              const OptimizerOptions& options,
-                                             bool with_swaps,
-                                             std::size_t probe_index = 0) {
+                                             bool with_swaps) {
   auto model = std::make_unique<Model>(problem, t_ub, config);
   sat::Solver& solver = model->solver();
   solver.set_restart_policy(options.restart_policy);
   solver.set_external_interrupt(options.cancel);
-  std::uint64_t seed = options.seed;
-  if (probe_index > 0) seed += probe_index * 0x9E3779B97F4A7C15ULL;
-  solver.set_vsids_seed(seed);
+  solver.set_vsids_seed(options.seed);
   if (options.exchange != nullptr) {
     const std::string group = model->prepare_shared_bounds(with_swaps);
     // Deterministic runs keep bound-fact sharing (it cannot change optima)
@@ -204,6 +198,9 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
 
   DepthPhaseOutcome out;
   int t_b = t_lb;
+  // Largest depth bound this run proved UNSAT: phase 2 stops above it
+  // instead of refuting the same bound a second time.
+  int lower = t_lb - 1;
   auto model =
       make_configured_model(problem, t_ub, config, options, with_swaps);
 
@@ -225,6 +222,7 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
         solve_step(*model, {model->depth_bound(t_b)}, t_b, -1, clock, diag);
     if (status == sat::LBool::kUndef) return out;
     if (status == sat::LBool::kTrue) break;
+    lower = std::max(lower, t_b);
     facts.note_depth_unsat(t_b >= t_ub ? t_ub : t_b);
     if (t_b >= t_ub) {
       // Even the unconstrained horizon is UNSAT: regenerate with a larger
@@ -245,7 +243,7 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
   facts.note_depth_sat(out.best.depth);
   // Phase 2: decrement to the first UNSAT.
   t_b = out.best.depth - 1;
-  while (t_b >= t_lb) {
+  while (t_b > lower) {
     if (clock.expired()) break;
     if (t_b <= facts.depth_unsat_max()) {
       // A peer already proved this bound (hence everything below it)
@@ -270,302 +268,12 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Speculative parallel bound search (OptimizerOptions::parallel_probes > 1).
-//
-// The sequential optimizer walks a relax-then-decrement chain of SAT calls
-// whose *bounds* are known in advance up to monotone reconciliation: SAT at
-// depth d implies SAT at every d' >= d, UNSAT implies UNSAT below. So each
-// round launches probes at the next several candidate bounds concurrently -
-// one cloned model per probe, all attached to one clause exchange - and
-// reconciles the answers, cutting the chain's critical path by the probe
-// count while provably returning the same optimum.
-// ---------------------------------------------------------------------------
-
-/// One probe's answer for a round candidate.
-struct ProbeOutcome {
-  sat::LBool status = sat::LBool::kUndef;
-  Result extracted;  // valid when status == kTrue
-  Result diag;       // this probe's SolveCall records
-};
-
-/// A pool of cloned models, one per concurrent probe, rebuilt when the
-/// depth horizon grows.
-class ProbeSet {
- public:
-  ProbeSet(const Problem& problem, const EncodingConfig& config,
-           const OptimizerOptions& options, bool with_swaps)
-      : problem_(problem),
-        config_(config),
-        options_(options),
-        with_swaps_(with_swaps) {}
-
-  int t_ub() const { return t_ub_; }
-
-  /// Make `count` probes exist at horizon `t_ub` (drops and rebuilds all
-  /// probes when the horizon changes). Model construction is parallel -
-  /// each clone is independent.
-  void ensure(int count, int t_ub) {
-    if (t_ub != t_ub_) probes_.clear();
-    t_ub_ = t_ub;
-    const std::size_t have = probes_.size();
-    const std::size_t want = static_cast<std::size_t>(count);
-    if (have >= want) return;
-    obs::Span span("olsq2.build_probes");
-    probes_.resize(want);
-    std::vector<std::thread> threads;
-    for (std::size_t i = have; i < want; ++i) {
-      threads.emplace_back([this, i] {
-        probes_[i] = make_configured_model(problem_, t_ub_, config_, options_,
-                                           with_swaps_, i);
-      });
-    }
-    for (auto& t : threads) t.join();
-    if (span.live()) {
-      span.arg("probes", static_cast<std::uint64_t>(want - have));
-      span.arg("t_ub", t_ub_);
-    }
-  }
-
-  /// Solve the given (depth_bound, swap_bound) candidates concurrently,
-  /// one probe per candidate (requires candidates.size() <= probe count).
-  /// -1 means "bound not assumed".
-  std::vector<ProbeOutcome> round(
-      const std::vector<std::pair<int, int>>& candidates,
-      const BudgetClock& clock) {
-    std::vector<ProbeOutcome> out(candidates.size());
-    std::vector<std::thread> threads;
-    threads.reserve(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      threads.emplace_back([this, &candidates, &clock, &out, i] {
-        Model& model = *probes_[i];
-        const auto [db, sb] = candidates[i];
-        std::vector<Lit> assumptions;
-        if (db >= 0) assumptions.push_back(model.depth_bound(db));
-        if (sb >= 0) assumptions.push_back(model.swap_bound(sb));
-        ProbeOutcome& o = out[i];
-        o.status = solve_step(model, std::move(assumptions), db, sb, clock,
-                              o.diag);
-        if (o.status == sat::LBool::kTrue) o.extracted = model.extract();
-      });
-    }
-    for (auto& t : threads) t.join();
-    return out;
-  }
-
- private:
-  const Problem& problem_;
-  const EncodingConfig& config_;
-  const OptimizerOptions& options_;
-  bool with_swaps_;
-  int t_ub_ = -1;
-  std::vector<std::unique_ptr<Model>> probes_;
-};
-
-/// Fold one round's per-probe diagnostics into the run-wide record, in
-/// candidate order so telemetry stays deterministic.
-void merge_round_diag(Result& diag, std::vector<ProbeOutcome>& outcomes) {
-  for (ProbeOutcome& o : outcomes) {
-    diag.sat_calls += o.diag.sat_calls;
-    diag.conflicts += o.diag.conflicts;
-    diag.hit_budget = diag.hit_budget || o.diag.hit_budget;
-    for (SolveCall& c : o.diag.calls) diag.calls.push_back(c);
-  }
-}
-
-/// Parallel analog of run_depth_phase: rounds of speculative probes over
-/// the relaxation ladder, then over the decrement chain. Returns the same
-/// optimum as the sequential walk (SAT/UNSAT monotonicity).
-Result parallel_depth_phase(ProbeSet& probes, const Problem& problem,
-                            const OptimizerOptions& options,
-                            const BudgetClock& clock, Result& diag,
-                            int num_probes) {
-  obs::Span phase_span("olsq2.depth_phase_parallel");
-  const circuit::DependencyGraph deps(*problem.circuit);
-  const int t_lb = deps.longest_chain();
-  int t_ub = deps.default_upper_bound();
-  const FactHub facts{options.exchange};
-
-  Result best;  // solved = false until the first SAT
-
-  // Phase 1: relaxation ladder, `num_probes` rungs at a time.
-  int t_b = t_lb;
-  while (!best.solved) {
-    if (clock.expired() || diag.hit_budget) return best;
-    if (facts.depth_unsat_max() >= t_ub) {
-      // A peer refuted the whole current horizon: grow it straight away.
-      t_ub = next_relaxed_bound(t_ub, options);
-      continue;
-    }
-    probes.ensure(num_probes, t_ub);
-    t_b = std::max(t_b, facts.depth_unsat_max() + 1);
-    const int cap =
-        std::min(t_ub, std::max(facts.depth_sat_min(), t_lb));
-    if (t_b > cap) t_b = cap;
-    std::vector<std::pair<int, int>> candidates;
-    int rung = t_b;
-    while (static_cast<int>(candidates.size()) < num_probes) {
-      candidates.emplace_back(rung, -1);
-      if (rung >= cap) break;
-      rung = std::min(next_relaxed_bound(rung, options), cap);
-    }
-    auto outcomes = probes.round(candidates, clock);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const int d = candidates[i].first;
-      if (outcomes[i].status == sat::LBool::kFalse) {
-        facts.note_depth_unsat(d >= t_ub ? t_ub : d);
-        t_b = std::max(t_b, d + 1);
-      } else if (outcomes[i].status == sat::LBool::kTrue) {
-        if (!best.solved || outcomes[i].extracted.depth < best.depth) {
-          best = outcomes[i].extracted;
-        }
-      }
-    }
-    merge_round_diag(diag, outcomes);
-    if (!best.solved) {
-      if (diag.hit_budget) return best;
-      if (t_b > t_ub) {
-        // The unconstrained horizon itself is UNSAT: grow it and rebuild
-        // every probe (paper §III-B1).
-        t_ub = next_relaxed_bound(t_ub, options);
-        t_b = std::max(t_b, t_lb);
-      }
-    }
-  }
-  facts.note_depth_sat(best.depth);
-
-  // Phase 2: decrement chain, `num_probes` bounds per round. Monotonicity
-  // makes every answer useful: SATs lower the incumbent, UNSATs raise the
-  // proven floor; the phase ends when they meet.
-  while (true) {
-    const int floor = std::max(t_lb, facts.depth_unsat_max() + 1);
-    if (best.depth <= floor) break;
-    if (clock.expired() || diag.hit_budget) break;
-    std::vector<std::pair<int, int>> candidates;
-    for (int d = best.depth - 1;
-         d >= floor && static_cast<int>(candidates.size()) < num_probes; --d) {
-      candidates.emplace_back(d, -1);
-    }
-    auto outcomes = probes.round(candidates, clock);
-    bool progress = false;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const int d = candidates[i].first;
-      if (outcomes[i].status == sat::LBool::kFalse) {
-        facts.note_depth_unsat(d);
-        progress = true;
-      } else if (outcomes[i].status == sat::LBool::kTrue) {
-        if (outcomes[i].extracted.depth < best.depth) {
-          best = outcomes[i].extracted;
-          facts.note_depth_sat(best.depth);
-        }
-        progress = true;
-      }
-    }
-    merge_round_diag(diag, outcomes);
-    if (!progress) break;  // every probe expired
-  }
-  return best;
-}
-
 void merge_diagnostics(Result& result, Result& diag, const BudgetClock& clock) {
   result.sat_calls = diag.sat_calls;
   result.conflicts = diag.conflicts;
   result.hit_budget = diag.hit_budget || clock.expired();
   result.wall_ms = clock.elapsed_ms();
   result.calls = std::move(diag.calls);
-}
-
-/// Parallel SWAP descent at one depth bound: probe several tightened SWAP
-/// bounds per round; SAT monotonicity in the bound reconciles. Updates
-/// `best` in place; returns false when the budget expired mid-descent.
-bool parallel_swap_descent(ProbeSet& probes, int depth_bound, Result& best,
-                           const OptimizerOptions& options,
-                           const BudgetClock& clock, Result& diag,
-                           int num_probes) {
-  const FactHub facts{options.exchange};
-  // First round only: probe the externally-supplied SWAP upper bound as an
-  // extra ladder rung (see OptimizerOptions::swap_upper_hint). Monotone
-  // reconciliation absorbs either answer, so any hint value is sound.
-  bool hint_pending = options.swap_upper_hint >= 0;
-  while (best.swap_count > 0) {
-    if (clock.expired() || diag.hit_budget) return false;
-    const int incumbent = best.swap_count;
-    if (facts.swap_known_unsat(depth_bound, incumbent - 1)) {
-      record_pruned(diag, depth_bound, incumbent - 1, facts);
-      return true;  // the incumbent is optimal at this depth
-    }
-    std::vector<std::pair<int, int>> candidates;
-    if (hint_pending && options.swap_upper_hint < incumbent - 1) {
-      candidates.emplace_back(depth_bound, options.swap_upper_hint);
-    }
-    hint_pending = false;
-    for (int k = incumbent - 1;
-         k >= 0 && static_cast<int>(candidates.size()) < num_probes; --k) {
-      candidates.emplace_back(depth_bound, k);
-    }
-    auto outcomes = probes.round(candidates, clock);
-    int proven_floor = -1;  // largest k proved UNSAT this round
-    bool any_answer = false;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const int k = candidates[i].second;
-      if (outcomes[i].status == sat::LBool::kFalse) {
-        facts.note_swap_unsat(depth_bound, k);
-        proven_floor = std::max(proven_floor, k);
-        any_answer = true;
-      } else if (outcomes[i].status == sat::LBool::kTrue) {
-        const Result& cand = outcomes[i].extracted;
-        if (cand.swap_count < best.swap_count ||
-            (cand.swap_count == best.swap_count && cand.depth < best.depth)) {
-          best = cand;
-        }
-        any_answer = true;
-      }
-    }
-    merge_round_diag(diag, outcomes);
-    if (!any_answer) return false;  // every probe expired
-    // UNSAT at (or above) the next bound to try closes the gap: the
-    // incumbent is optimal for this depth.
-    if (proven_floor >= best.swap_count - 1) return true;
-  }
-  return true;  // descended to zero swaps
-}
-
-Result synthesize_swap_optimal_parallel(const Problem& problem,
-                                        const EncodingConfig& config,
-                                        const OptimizerOptions& options,
-                                        const BudgetClock& clock,
-                                        int num_probes) {
-  Result diag;
-  ProbeSet probes(problem, config, options, /*with_swaps=*/true);
-  Result best =
-      parallel_depth_phase(probes, problem, options, clock, diag, num_probes);
-  if (!best.solved) {
-    Result result = best;
-    merge_diagnostics(result, diag, clock);
-    return result;
-  }
-
-  std::vector<std::pair<int, int>> pareto;
-  int depth_bound = best.depth;
-  int prev_depth_swaps = -1;
-  while (true) {
-    obs::Span sweep_span("olsq2.swap_sweep");
-    sweep_span.arg("depth_bound", depth_bound);
-    const bool in_budget = parallel_swap_descent(
-        probes, depth_bound, best, options, clock, diag, num_probes);
-    pareto.emplace_back(depth_bound, best.swap_count);
-    if (best.swap_count == 0 || !in_budget) break;
-    if (prev_depth_swaps >= 0 && best.swap_count >= prev_depth_swaps) break;
-    prev_depth_swaps = best.swap_count;
-    depth_bound++;
-    if (depth_bound >= probes.t_ub()) {
-      probes.ensure(num_probes,
-                    static_cast<int>(std::ceil(1.5 * probes.t_ub())));
-    }
-  }
-  best.pareto = std::move(pareto);
-  merge_diagnostics(best, diag, clock);
-  return best;
 }
 
 }  // namespace
@@ -575,19 +283,6 @@ Result synthesize_depth_optimal(const Problem& problem,
                                 const OptimizerOptions& options) {
   obs::Span span("olsq2.depth_optimal");
   const BudgetClock clock(options.time_budget_ms);
-  if (options.parallel_probes > 1) {
-    // Speculative parallel bound search: give the probes a private
-    // exchange when the caller did not supply a portfolio-wide one.
-    sat::ClauseExchange private_hub;
-    OptimizerOptions opt = options;
-    if (opt.exchange == nullptr) opt.exchange = &private_hub;
-    Result diag;
-    ProbeSet probes(problem, config, opt, /*with_swaps=*/false);
-    Result result = parallel_depth_phase(probes, problem, opt, clock, diag,
-                                         options.parallel_probes);
-    merge_diagnostics(result, diag, clock);
-    return result;
-  }
   Result diag;
   DepthPhaseOutcome outcome = run_depth_phase(problem, config, options, clock,
                                               diag, /*with_swaps=*/false);
@@ -601,13 +296,6 @@ Result synthesize_swap_optimal(const Problem& problem,
                                const OptimizerOptions& options) {
   obs::Span span("olsq2.swap_optimal");
   const BudgetClock clock(options.time_budget_ms);
-  if (options.parallel_probes > 1) {
-    sat::ClauseExchange private_hub;
-    OptimizerOptions opt = options;
-    if (opt.exchange == nullptr) opt.exchange = &private_hub;
-    return synthesize_swap_optimal_parallel(problem, config, opt, clock,
-                                            options.parallel_probes);
-  }
   Result diag;
   DepthPhaseOutcome outcome = run_depth_phase(problem, config, options, clock,
                                               diag, /*with_swaps=*/true);

@@ -123,11 +123,6 @@ struct OptimizerOptions {
   /// Optional externally-owned cancellation flag (portfolio solving). When
   /// it turns true, the optimizer unwinds as if its budget expired.
   const std::atomic<bool>* cancel = nullptr;
-  /// Concurrent speculative bound probes inside the optimizer loops (1 =
-  /// the classic sequential relax-then-decrement chain). Each probe owns a
-  /// cloned model; SAT/UNSAT monotonicity (§III-B) reconciles the results
-  /// of every round, so the optimum is identical to the sequential path.
-  int parallel_probes = 1;
   /// Externally-supplied upper bound on the SWAP optimum (-1 = none), e.g.
   /// the planning engine's anytime incumbent. The SWAP descent "jump
   /// probes" this bound once per depth sweep before the one-by-one
@@ -145,9 +140,9 @@ struct OptimizerOptions {
   /// skip SAT calls whose answer is already proven, never change optima.
   bool deterministic = false;
   /// Cooperative sharing hub (learnt clauses + objective-bound facts)
-  /// connecting portfolio strategies and speculative probes. Owned by the
-  /// caller; nullptr = no sharing. synthesize_portfolio installs one
-  /// automatically; standalone parallel_probes runs create a private hub.
+  /// connecting the strategies of one portfolio race. Owned by the caller;
+  /// nullptr = no sharing. synthesize_portfolio installs one per race;
+  /// serve::Server clears it, so served requests never share.
   sat::ClauseExchange* exchange = nullptr;
 };
 

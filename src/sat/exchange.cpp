@@ -34,12 +34,9 @@ ClauseExchange::GroupMetrics& ClauseExchange::metrics_for(int group) {
 int ClauseExchange::add_solver(const std::string& group) {
   sync::MutexLock lock(mutex_);
   SolverSlot slot;
-  // Namespace by problem: identical encoding fingerprints for different
-  // problems (e.g. relabeled instances) must land in different groups.
-  const std::string scoped = problem_key_ + '\x1f' + group;
-  auto it = std::find(groups_.begin(), groups_.end(), scoped);
+  auto it = std::find(groups_.begin(), groups_.end(), group);
   if (it == groups_.end()) {
-    groups_.push_back(scoped);
+    groups_.push_back(group);
     slot.group = static_cast<int>(groups_.size()) - 1;
   } else {
     slot.group = static_cast<int>(it - groups_.begin());
@@ -49,24 +46,6 @@ int ClauseExchange::add_solver(const std::string& group) {
   slot.cursor = next_seq_.load(std::memory_order_relaxed);
   solvers_.push_back(slot);
   return static_cast<int>(solvers_.size()) - 1;
-}
-
-void ClauseExchange::begin_problem(const std::string& key) {
-  sync::MutexLock lock(mutex_);
-  if (problem_key_ == key) return;
-  problem_key_ = key;
-  // Cut off the clause backlog: groups are namespaced so stale clauses
-  // could never be *delivered* to the new problem's solvers, but dropping
-  // them keeps the ring from carrying dead weight between batch items.
-  buffer_.clear();
-  base_seq_ = next_seq_.load(std::memory_order_relaxed);
-  // Bound facts describe the previous problem; a stale depth-UNSAT fact
-  // would silently prune the new problem's search to a wrong optimum.
-  depth_unsat_max_.store(-1, std::memory_order_release);
-  depth_sat_min_.store(std::numeric_limits<int>::max(),
-                       std::memory_order_release);
-  sync::MutexLock swap_lock(swap_mutex_);
-  swap_unsat_.clear();
 }
 
 bool ClauseExchange::publish(int solver_id, std::span<const Lit> lits,

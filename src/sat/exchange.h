@@ -4,17 +4,18 @@
 // "best-of-N luck" into a cooperating team by exchanging small, low-LBD
 // learnt clauses: a clause one solver paid thousands of conflicts to derive
 // propagates for free in every other solver. This hub implements that
-// exchange for the portfolio layer, plus an encoding-independent registry
-// of proven objective-bound facts (an UNSAT certificate at depth d or SWAP
-// count k prunes every other strategy's bound search, exploiting the
-// monotone solution structure of paper §III-B).
+// exchange for one portfolio race (layout::synthesize_portfolio, its only
+// user), plus an encoding-independent registry of proven objective-bound
+// facts (an UNSAT certificate at depth d or SWAP count k prunes every other
+// strategy's bound search, exploiting the monotone solution structure of
+// paper §III-B).
 //
 // Soundness of literal-level sharing requires that importer and exporter
 // agree on what every variable means. Solvers therefore register with a
 // *group* key (a fingerprint of the encoding configuration, horizon, and
-// variable count - see layout::Model::share_signature()); clauses flow only
-// within a group, while bound facts - which are statements about the
-// problem, not about any CNF - flow globally.
+// variable count - see layout::Model::prepare_shared_bounds()); clauses
+// flow only within a group, while bound facts - which are statements about
+// the problem, not about any CNF - flow globally.
 //
 // Concurrency: one annotated mutex ("sat.exchange.hub") guards the shared
 // clause buffer and the registries; a second ("sat.exchange.swap_facts")
@@ -22,7 +23,7 @@
 // "anything new for me?" check run lock-free on atomics so solvers touch
 // the lock only when clauses actually cross threads (generation-stamped
 // hand-off). All methods are thread-safe. Lock hierarchy (DESIGN.md §11):
-// hub -> swap_facts, hub -> obs.metrics.registry; collect() invokes its
+// hub -> obs.metrics.registry, swap_facts is a leaf; collect() invokes its
 // callback *outside* the hub lock, so importers may do arbitrary solver
 // work (invariant audits, propagation) without holding hub state.
 #pragma once
@@ -66,24 +67,10 @@ class ClauseExchange {
 
   /// Register a solver in sharing group `group`. Returns the solver's id
   /// for publish()/collect(). Clauses are delivered only between members
-  /// of the same group. Groups are additionally namespaced by the current
-  /// problem key (see begin_problem), so a reused hub can never deliver
-  /// clauses across problem boundaries even when two problems' encoding
-  /// fingerprints coincide (relabeled instances have identical var/clause
-  /// counts).
+  /// of the same group. A hub serves exactly one problem: its bound facts
+  /// are statements about that problem, so never reuse a hub across
+  /// problems.
   int add_solver(const std::string& group);
-
-  /// Declare the problem the hub is about to serve. Bound facts are
-  /// statements about a *problem*, not about any CNF, so they must not
-  /// survive a switch to a different problem: a depth-UNSAT fact recorded
-  /// for instance A would wrongly prune instance B's bound search and
-  /// corrupt its reported optimum. When `key` differs from the current
-  /// problem key every bound fact is dropped and the clause backlog is
-  /// cut off; same-key calls are no-ops so repeated registration is cheap.
-  /// Single-problem users (the portfolio, standalone probes) never need to
-  /// call this - a fresh hub starts with an empty key that any first
-  /// problem extends.
-  void begin_problem(const std::string& key);
 
   /// Offer a learnt clause to the hub. Units and binaries always pass;
   /// larger clauses must satisfy both the size and LBD thresholds.
@@ -194,8 +181,6 @@ class ClauseExchange {
   Options options_;
 
   mutable sync::Mutex mutex_{"sat.exchange.hub"};
-  /// Namespace for group registration.
-  std::string problem_key_ OLSQ2_GUARDED_BY(mutex_);
   /// Clause seq i lives at buffer_[i - base_seq_].
   std::deque<SharedClause> buffer_ OLSQ2_GUARDED_BY(mutex_);
   /// Seq of buffer_.front().

@@ -48,8 +48,11 @@ bool transition_based(Engine engine) {
 
 layout::Result run_engine(Engine engine, const layout::Problem& problem,
                           const layout::EncodingConfig& config,
-                          const layout::OptimizerOptions& options,
+                          layout::OptimizerOptions options,
                           subarch::SubarchOptions subarch_options) {
+  // Each solve runs alone: a caller-supplied hub could carry bound facts
+  // from another problem into this search.
+  options.exchange = nullptr;
   // Transparent subarchitecture pre-pass for the engines whose SWAP
   // optima are reduction-invariant (certified ladder + lift; any failure
   // inside the wrappers degrades to the direct engine below). The
@@ -158,7 +161,6 @@ std::vector<Response> Server::serve_batch(
 
   struct Item {
     InstanceCanon canon;
-    std::string instance_key;
     std::string key;
   };
   std::vector<Item> items(requests.size());
@@ -171,8 +173,7 @@ std::vector<Response> Server::serve_batch(
     }
     Item& item = items[i];
     item.canon = canonicalize(*req.circuit, *req.device, req.swap_duration);
-    item.instance_key = item.canon.instance_key();
-    item.key = item.instance_key + "|" + engine_tag(req.engine) + "|" +
+    item.key = item.canon.instance_key() + "|" + engine_tag(req.engine) + "|" +
                req.config.label();
     responses[i].key = item.key;
     responses[i].canonical_exact =
@@ -214,14 +215,6 @@ std::vector<Response> Server::serve_batch(
     residual[group_key].push_back(i);
   }
 
-  // std::map iteration = key order: equal instances with different engines
-  // or configs run back-to-back; begin_problem() fences bound facts at
-  // instance boundaries (and at the TB/time-resolved semantic boundary -
-  // TB "depth" counts blocks, so TB facts must not prune a time-resolved
-  // search). The whole solve phase is one critical section: the hub's
-  // fencing protocol is stateful, so a second concurrent batch must not
-  // re-fence mid-sequence.
-  sync::MutexLock solve_lock(solve_mutex_);
   for (const auto& [key, indices] : residual) {
     const std::size_t leader = indices.front();
     const Request& req = requests[leader];
@@ -241,17 +234,12 @@ std::vector<Response> Server::serve_batch(
     const layout::Problem canonical{&canon_circ, &canon_dev,
                                     req.swap_duration};
 
-    exchange_.begin_problem(item.instance_key +
-                            (transition_based(req.engine) ? "|tb" : "|tr"));
-    layout::OptimizerOptions options = req.options;
-    options.exchange = &exchange_;
-
     subarch::SubarchOptions subarch_options = options_.subarch;
     subarch_options.library = &subarch_library_;
 
     CacheEntry entry;
-    entry.result =
-        run_engine(req.engine, canonical, req.config, options, subarch_options);
+    entry.result = run_engine(req.engine, canonical, req.config, req.options,
+                              subarch_options);
     maybe_certify(req, canonical, entry);
 
     if (options_.use_cache && entry.result.solved &&

@@ -1,45 +1,38 @@
 // Batch request serving with canonicalization-keyed result caching.
 //
-// A Server owns a two-tier ResultCache (serve/cache.h) and a shared
-// ClauseExchange hub. Each request is canonicalized (serve/canonical.h);
-// the cache key is
+// A Server owns a two-tier ResultCache (serve/cache.h) and a subarch probe
+// library. Each request is canonicalized (serve/canonical.h); the cache key
+// is
 //
 //   <canonical circuit>|<canonical device>|S<swap_duration>|<engine>|<config>
 //
 // so two requests that differ only by program-qubit relabeling, coupling-
 // graph relabeling, or commuting gate reorder share one entry. Optimizer
-// options (budget, seed, probes) are deliberately *excluded*: they steer
-// the search, not the optimum, and a cached optimum answers any budget.
+// options (budget, seed) are deliberately *excluded*: they steer the
+// search, not the optimum, and a cached optimum answers any budget.
 // Results that expired their budget - unsolved, or solved but possibly
 // suboptimal (hit_budget) - are never cached.
 //
 // serve_batch() answers what it can from cache, deduplicates the residual
 // work by key (the first request with a key pays the solve; later ones are
-// cross-request hits), and orders the solves by key so requests on the
-// same instance run back-to-back on a warm exchange hub: proven
-// objective-bound facts carry across engine/config variants of one
-// instance (sound - they are statements about the problem), while
-// ClauseExchange::begin_problem fences them off between different
-// instances. Solving happens in canonical space; every response is
-// un-relabeled through the request's own witness (serve/transfer.h).
-// Concurrency: a Server may be shared by concurrent callers. The cache is
-// internally thread-safe (serve/cache.h); the solve phase is serialized by
-// the annotated "serve.batch.solve" mutex because the exchange hub's
-// begin_problem() fencing protocol is stateful - two interleaved batches
-// would re-fence each other's bound facts mid-solve. Lock hierarchy
-// (DESIGN.md §11): serve.batch.solve -> sat.exchange.hub -> ... and
-// serve.batch.solve -> serve.cache.
+// cross-request hits) and solves each residual key independently, with no
+// clause or bound-fact sharing between solves. Solving happens in
+// canonical space; every response is un-relabeled through the request's
+// own witness (serve/transfer.h).
+// Concurrency: a Server may be shared by concurrent callers. The cache and
+// the subarch library lock internally; nothing else is shared between
+// batches, so concurrent batches solve in parallel. Two batches that miss
+// on the same key both solve it (the later insert overwrites an equal
+// optimum).
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "layout/types.h"
-#include "sat/exchange.h"
 #include "serve/cache.h"
 #include "serve/canonical.h"
 #include "subarch/solve.h"
-#include "util/sync.h"
 
 namespace olsq2::serve {
 
@@ -57,8 +50,8 @@ struct Request {
   int swap_duration = 1;
   Engine engine = Engine::kSwap;
   layout::EncodingConfig config;
-  /// Per-request optimizer options; the `exchange` field is overwritten by
-  /// the server with its own hub.
+  /// Per-request optimizer options; the server clears the `exchange`
+  /// field, so a caller-supplied hub is never consulted.
   layout::OptimizerOptions options;
   /// Additionally produce (and cache) an optimality certificate: a DRAT-
   /// checked UNSAT proof at the next-tighter bound (layout/certify.h).
@@ -108,32 +101,22 @@ class Server {
   explicit Server(ServerOptions options = {});
 
   /// Serve one request (equivalent to a one-element batch).
-  Response serve(const Request& request) OLSQ2_EXCLUDES(solve_mutex_);
+  Response serve(const Request& request);
 
   /// Serve a batch: cache hits answered first, residual work deduplicated
-  /// and solved in key order on the shared exchange hub. Responses are in
-  /// request order. Thread-safe; concurrent batches interleave at the
-  /// lookup phase and serialize on the solve phase (see header comment).
-  std::vector<Response> serve_batch(const std::vector<Request>& requests)
-      OLSQ2_EXCLUDES(solve_mutex_);
+  /// and solved in key order. Responses are in request order. Thread-safe
+  /// (see header comment).
+  std::vector<Response> serve_batch(const std::vector<Request>& requests);
 
   ResultCache& cache() { return cache_; }
   /// The server's subarchitecture probe library (shared across requests,
   /// engines, and batches; isomorphic subdevices collide by design).
   subarch::Library& subarch_library() { return subarch_library_; }
-  /// The shared hub. Internally thread-safe, but its begin_problem()
-  /// fencing is coordinated by solve_mutex_ - do not fence externally
-  /// while batches are in flight.
-  sat::ClauseExchange& exchange() { return exchange_; }
 
  private:
   ServerOptions options_;
   ResultCache cache_;
   subarch::Library subarch_library_;
-  /// Serializes the residual-solve phase: exchange_ fencing + solve +
-  /// cache insert run as one critical section per batch.
-  sync::Mutex solve_mutex_{"serve.batch.solve"};
-  sat::ClauseExchange exchange_;
 };
 
 }  // namespace olsq2::serve

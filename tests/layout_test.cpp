@@ -3,6 +3,8 @@
 // the independent verifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bengen/workloads.h"
 #include "circuit/dependency.h"
 #include "device/presets.h"
@@ -85,6 +87,30 @@ TEST(Olsq2Depth, LineDeviceForcesSwaps) {
   const Result r = synthesize_swap_optimal(problem);
   ASSERT_TRUE(r.solved);
   EXPECT_GE(r.swap_count, 1);
+  const Verdict v = verify(problem, r);
+  EXPECT_TRUE(v.ok) << errors_of(v);
+}
+
+TEST(Olsq2Depth, DecrementStopsAboveTheRefutedBound) {
+  // QFT(4) on a 1x4 line: phase 1 refutes T_LB = 21 and relaxes to 28;
+  // the decrement then walks down to 22. Depth bounds are monotone, so
+  // once a bound came back UNSAT no bound at or below it may be solved
+  // again - the decrement must stop at 22 instead of re-refuting 21.
+  const auto c = bengen::qft(4);
+  const auto dev = device::grid(1, 4);
+  const Problem problem{&c, &dev, 1};
+  const Result r = synthesize_depth_optimal(problem);
+  ASSERT_TRUE(r.solved);
+  EXPECT_FALSE(r.hit_budget);
+  EXPECT_EQ(r.depth, 22);
+  int refuted = -1;
+  for (const SolveCall& call : r.calls) {
+    EXPECT_GT(call.depth_bound, refuted)
+        << "bound " << call.depth_bound << " solved after bound " << refuted
+        << " came back UNSAT";
+    if (call.status == 'U') refuted = std::max(refuted, call.depth_bound);
+  }
+  EXPECT_EQ(refuted, 21);
   const Verdict v = verify(problem, r);
   EXPECT_TRUE(v.ok) << errors_of(v);
 }

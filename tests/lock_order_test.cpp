@@ -177,21 +177,26 @@ TEST_F(LockOrderTest, SharedMutexParticipates) {
 
 TEST_F(LockOrderTest, ContractLocksComposeAcrossRealSubsystems) {
   // The production ranks must still be acyclic when exercised in the
-  // documented hierarchy order (DESIGN.md §11): serve.batch.solve ->
-  // sat.exchange.hub -> obs.metrics.registry. Reproduced here with
-  // same-named test mutexes; the real wiring is covered end-to-end by the
-  // serve/portfolio suites running under OLSQ2_LOCK_ORDER in CI.
-  Mutex solve("serve.batch.solve");
+  // documented hierarchy order (DESIGN.md §11): sat.exchange.hub ->
+  // obs.metrics.registry, serve.cache -> obs.trace and serve.cache ->
+  // obs.metrics.registry. Reproduced here with same-named test mutexes;
+  // the real wiring is covered end-to-end by the serve/portfolio suites
+  // running under OLSQ2_LOCK_ORDER in CI.
   Mutex hub("sat.exchange.hub");
+  Mutex cache("serve.cache");
+  Mutex trace("obs.trace");
   Mutex registry("obs.metrics.registry");
   {
-    MutexLock l1(solve);
-    MutexLock l2(hub);
-    MutexLock l3(registry);
+    MutexLock l1(hub);
+    MutexLock l2(registry);
   }
   {
-    MutexLock l1(solve);
-    MutexLock l3(registry);
+    MutexLock l1(cache);
+    MutexLock l2(trace);
+  }
+  {
+    MutexLock l1(cache);
+    MutexLock l2(registry);
   }
   EXPECT_TRUE(lo::take_reports().empty());
 }

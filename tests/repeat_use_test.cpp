@@ -7,9 +7,9 @@
 //   layout::Model            - repeated bound requests must be cached (no
 //     new solver variables) and repeated solves under the same assumptions
 //     must reproduce the same verdict and objectives.
-//   sat::ClauseExchange      - begin_problem() must fence bound facts and
-//     clause traffic between batch items; a stale depth-UNSAT fact from
-//     problem A silently corrupts problem B's reported optimum otherwise.
+//   serve::Server            - every solve runs alone: a hub the caller
+//     passes in Request::options is never consulted, so a stale bound fact
+//     from another problem cannot corrupt the served optimum.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,9 +19,11 @@
 #include "device/presets.h"
 #include "layout/model.h"
 #include "layout/olsq2.h"
+#include "layout/verifier.h"
 #include "sat/exchange.h"
 #include "sat/preprocess.h"
 #include "sat/types.h"
+#include "serve/batch.h"
 
 namespace olsq2 {
 namespace {
@@ -140,82 +142,53 @@ TEST(ModelReuse, BoundRequestsAreIdempotentAndSolvesDeterministic) {
   EXPECT_EQ(model.solver().num_vars(), vars_after_first);
 }
 
-TEST(ExchangeReuse, BeginProblemClearsFactsAndSameKeyIsANoOp) {
-  sat::ClauseExchange hub;
-  hub.begin_problem("instance-A");
-  hub.note_depth_unsat(7);
-  hub.note_depth_sat(12);
-  hub.note_swap_unsat(12, 2);
-  ASSERT_EQ(hub.depth_unsat_max(), 7);
-  ASSERT_TRUE(hub.swap_known_unsat(12, 2));
-
-  // Re-declaring the same problem must keep the facts (batch groups call
-  // begin_problem once per engine run on the same instance).
-  hub.begin_problem("instance-A");
-  EXPECT_EQ(hub.depth_unsat_max(), 7);
-  EXPECT_EQ(hub.depth_sat_min(), 12);
-  EXPECT_TRUE(hub.swap_known_unsat(12, 2));
-
-  // Switching problems drops every fact.
-  hub.begin_problem("instance-B");
-  EXPECT_EQ(hub.depth_unsat_max(), -1);
-  EXPECT_EQ(hub.depth_sat_min(), std::numeric_limits<int>::max());
-  EXPECT_FALSE(hub.swap_known_unsat(12, 2));
-}
-
-TEST(ExchangeReuse, GroupsAreNamespacedPerProblem) {
-  sat::ClauseExchange hub;
-  hub.begin_problem("instance-A");
-  const int s1 = hub.add_solver("cfg");
-  hub.begin_problem("instance-B");
-  // Same group string, different problem: must land in a distinct group.
-  const int s2 = hub.add_solver("cfg");
-  const int s3 = hub.add_solver("cfg");
-
-  // s1 (problem A's group) publishes after the switch; only B's members
-  // may exchange with each other, and neither may hear from s1.
-  const std::vector<Lit> unit{Lit::pos(0)};
-  ASSERT_TRUE(hub.publish(s1, unit, 1));
-  std::size_t delivered_to_b = 0;
-  delivered_to_b += hub.collect(s2, [](auto, unsigned) {});
-  delivered_to_b += hub.collect(s3, [](auto, unsigned) {});
-  EXPECT_EQ(delivered_to_b, 0u);
-
-  const std::vector<Lit> binary{Lit::pos(1), Lit::neg(2)};
-  ASSERT_TRUE(hub.publish(s2, binary, 2));
-  std::size_t got = 0;
-  got += hub.collect(s3, [](auto, unsigned) {});
-  EXPECT_EQ(got, 1u);
-  EXPECT_EQ(hub.collect(s1, [](auto, unsigned) {}), 0u);
-}
-
-// End-to-end fence check: a hub poisoned with a stale depth-UNSAT fact from
-// a previous problem must not inflate the next problem's reported optimum
-// once begin_problem() declares the switch. This is exactly the reuse
-// pattern of serve::Server::serve_batch.
+// A hub poisoned with facts that are false for this problem - as if left
+// over from another one - rides in on the request's options. The server
+// must ignore it: the served optima are the true ones and the hub is never
+// read or written.
 TEST(ExchangeReuse, StaleFactsCannotCorruptTheNextProblemsOptimum) {
   const auto circ = triangle();
   const auto dev = device::grid(1, 3);
   const layout::Problem problem{&circ, &dev, 1};
 
-  const layout::Result baseline = synthesize_depth_optimal(problem);
-  ASSERT_TRUE(baseline.solved);
+  const layout::Result depth_baseline =
+      layout::synthesize_depth_optimal(problem);
+  const layout::Result swap_baseline =
+      layout::synthesize_swap_optimal(problem);
+  ASSERT_TRUE(depth_baseline.solved);
+  ASSERT_TRUE(swap_baseline.solved);
+  ASSERT_GE(swap_baseline.swap_count, 1);
 
   sat::ClauseExchange hub;
-  hub.begin_problem("some-other-instance");
-  hub.note_depth_unsat(baseline.depth + 3);  // true for A, poison for B
-  ASSERT_GT(hub.depth_unsat_max(), baseline.depth);
+  hub.note_depth_unsat(depth_baseline.depth + 3);
+  hub.note_swap_unsat(depth_baseline.depth + 3, swap_baseline.swap_count);
+  const sat::ClauseExchange::Traffic poisoned = hub.traffic();
 
-  hub.begin_problem("triangle-on-line");
-  layout::OptimizerOptions options;
-  options.exchange = &hub;
-  const layout::Result fenced =
-      synthesize_depth_optimal(problem, layout::EncodingConfig{}, options);
-  ASSERT_TRUE(fenced.solved);
-  EXPECT_EQ(fenced.depth, baseline.depth);
+  serve::Server server;
+  for (const serve::Engine engine : {serve::Engine::kDepth,
+                                     serve::Engine::kSwap}) {
+    SCOPED_TRACE(serve::engine_tag(engine));
+    serve::Request request;
+    request.circuit = &circ;
+    request.device = &dev;
+    request.swap_duration = 1;
+    request.engine = engine;
+    request.options.exchange = &hub;
+    const serve::Response response = server.serve(request);
+    ASSERT_TRUE(response.result.solved);
+    EXPECT_FALSE(response.cache_hit);
+    EXPECT_TRUE(layout::verify(problem, response.result).ok);
+    if (engine == serve::Engine::kDepth) {
+      EXPECT_EQ(response.result.depth, depth_baseline.depth);
+    } else {
+      EXPECT_EQ(response.result.swap_count, swap_baseline.swap_count);
+    }
+  }
 
-  // The run itself repopulates the facts for the *current* problem.
-  EXPECT_EQ(hub.depth_unsat_max(), fenced.depth - 1);
+  const sat::ClauseExchange::Traffic after = hub.traffic();
+  EXPECT_EQ(after.published, 0u);
+  EXPECT_EQ(after.bound_facts, poisoned.bound_facts);
+  EXPECT_EQ(after.bound_pruned, 0u);
 }
 
 }  // namespace

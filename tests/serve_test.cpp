@@ -1,6 +1,6 @@
 // Tests for the serving layer: instance canonicalization, witness-based
-// result transfer, the two-tier result cache, manifests, and batch
-// deduplication on the shared exchange hub.
+// result transfer, the two-tier result cache, manifests, batch
+// deduplication, and concurrent callers sharing one server.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bengen/rng.h"
@@ -521,6 +522,81 @@ TEST(Server, TransitionBasedRequestsServeAndHit) {
   const auto warm = server.serve(req);
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(warm.result.swap_count, cold.result.swap_count);
+}
+
+// Two threads share one server. Their batches overlap in some keys (the
+// same request, and a relabeled copy of it) and differ in others, so the
+// threads race on cache lookups, inserts and solves of equal keys. Every
+// response must verify in its own label space and report the same
+// objectives as a single-threaded server gives for the same batch.
+TEST(Server, ConcurrentBatchesMatchSingleThreadedAnswers) {
+  const auto tri = triangle_instance();
+  bengen::Rng rng(23);
+  const auto tri_relabeled = fuzz::relabel_program_qubits(tri, rng);
+  fuzz::GeneratorOptions small;
+  small.min_qubits = 3;
+  small.max_qubits = 4;
+  small.min_gates = 4;
+  small.max_gates = 8;
+  const auto x = fuzz::random_instance(31, small);
+  const auto y = fuzz::random_instance(32, small);
+  const auto z = fuzz::random_instance(33, small);
+
+  auto request = [](const fuzz::Instance& inst, Engine engine) {
+    Request req;
+    req.circuit = &inst.circuit;
+    req.device = &inst.device;
+    req.swap_duration = inst.swap_duration;
+    req.engine = engine;
+    req.options.time_budget_ms = 30000;
+    return req;
+  };
+  const std::vector<std::vector<Request>> batches = {
+      {request(tri, Engine::kSwap), request(x, Engine::kDepth),
+       request(y, Engine::kTbSwap), request(tri, Engine::kDepth)},
+      {request(tri_relabeled, Engine::kSwap), request(x, Engine::kDepth),
+       request(z, Engine::kSwap), request(y, Engine::kDepth)},
+  };
+
+  std::vector<std::vector<Response>> reference;
+  for (const auto& batch : batches) {
+    Server alone;
+    reference.push_back(alone.serve_batch(batch));
+  }
+
+  Server shared;
+  std::vector<std::vector<Response>> concurrent(batches.size());
+  std::vector<std::thread> threads;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    threads.emplace_back([&, b] {
+      concurrent[b] = shared.serve_batch(batches[b]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    ASSERT_EQ(concurrent[b].size(), batches[b].size());
+    for (std::size_t i = 0; i < batches[b].size(); ++i) {
+      SCOPED_TRACE("batch " + std::to_string(b) + " request " +
+                   std::to_string(i));
+      const Request& req = batches[b][i];
+      const layout::Result& got = concurrent[b][i].result;
+      const layout::Result& want = reference[b][i].result;
+      ASSERT_TRUE(want.solved);
+      ASSERT_TRUE(got.solved);
+      EXPECT_FALSE(got.hit_budget);
+      EXPECT_EQ(concurrent[b][i].key, reference[b][i].key);
+      EXPECT_EQ(got.depth, want.depth);
+      EXPECT_EQ(got.swap_count, want.swap_count);
+      const layout::Problem problem{req.circuit, req.device,
+                                    req.swap_duration};
+      const layout::Verdict verdict =
+          got.transition_based
+              ? layout::verify_transition_based(problem, got)
+              : layout::verify(problem, got);
+      EXPECT_TRUE(verdict.ok);
+    }
+  }
 }
 
 // ---- manifests ----------------------------------------------------------
