@@ -78,7 +78,8 @@ class TbModel {
 /// a proven lower bound from the block-compression lemma (t SWAPs fit in
 /// t+1 blocks): it stops, with a proof, once the incumbent meets that bound
 /// and `hit_budget` is false; otherwise it stops on the paper's plateau rule
-/// (`pareto` then ends on two equal SWAP counts) or on the budget.
+/// (`pareto` then ends on two equal SWAP counts) or on the budget. TB reads
+/// no bound facts from `options.exchange`: they are keyed by depth.
 Result tb_synthesize_swap_optimal(const Problem& problem,
                                   const EncodingConfig& config = {},
                                   const OptimizerOptions& options = {});

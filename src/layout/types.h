@@ -113,10 +113,6 @@ struct OptimizerOptions {
   /// Reuse one solver across bound iterations (incremental solving). The
   /// ablation bench turns this off to measure its contribution.
   bool incremental = true;
-  /// Extra depth steps to explore in the 2-D Pareto sweep after the swap
-  /// count stops improving (0 = stop at first non-improvement, the paper's
-  /// termination rule).
-  int pareto_patience = 0;
   /// Restart strategy for the underlying CDCL solver.
   sat::Solver::RestartPolicy restart_policy =
       sat::Solver::RestartPolicy::kGlucose;
@@ -125,8 +121,8 @@ struct OptimizerOptions {
   const std::atomic<bool>* cancel = nullptr;
   /// Externally-supplied upper bound on the SWAP optimum (-1 = none), e.g.
   /// the planning engine's anytime incumbent. The SWAP descent "jump
-  /// probes" this bound once per depth sweep before the one-by-one
-  /// decrement: SAT lets the incumbent jump straight down, UNSAT falls
+  /// probes" this bound once per depth (TB: block count) sweep before the
+  /// one-by-one decrement: SAT lets the incumbent jump straight down, UNSAT falls
   /// back to the classic descent (and records a true bound fact). Sound
   /// for ANY hint value - a wrong hint costs one extra SAT call and can
   /// never change the reported optimum.

@@ -1,33 +1,19 @@
 #include "layout/windowed.h"
 
-#include <algorithm>
-#include <chrono>
-#include <memory>
-
 #include "circuit/dependency.h"
-#include "layout/tb.h"
+#include "layout/search.h"
 #include "obs/obs.h"
 
 namespace olsq2::layout {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-}  // namespace
 
 WindowedResult synthesize_windowed_swap(const Problem& problem,
                                         const WindowedOptions& options,
                                         const EncodingConfig& config) {
   obs::Span top_span("windowed.swap");
-  const Clock::time_point start = Clock::now();
-  auto elapsed_ms = [&] {
-    return std::chrono::duration<double, std::milli>(Clock::now() - start)
-        .count();
-  };
-  auto expired = [&] {
-    return options.time_budget_ms > 0 && elapsed_ms() >= options.time_budget_ms;
-  };
+  // Windows keep the solver's default restart policy.
+  Search search(SearchEngine::kWindowed,
+                {.time_budget_ms = options.time_budget_ms,
+                 .restart_policy = sat::Solver::RestartPolicy::kAlternating});
 
   WindowedResult result;
   const circuit::Circuit& circ = *problem.circuit;
@@ -69,70 +55,19 @@ WindowedResult synthesize_windowed_swap(const Problem& problem,
     obs::Span window_span("windowed.window");
     window_span.arg("index", window_index++);
     window_span.arg("gates", window.num_gates());
-    if (expired()) {
+    const Problem sub{&window, problem.device, problem.swap_duration};
+    // Smallest satisfiable block count with the pinned entry mapping; the
+    // block-compression lemma holds with block 0 pinned, so the B_min-1
+    // refuted blocks close the descent at B_min-1 SWAPs without an UNSAT
+    // proof there.
+    BlockPhase phase = tb_block_phase(search, sub, config, mapping);
+    if (!phase.best.solved) {
       result.hit_budget = true;
-      result.wall_ms = elapsed_ms();
+      result.wall_ms = search.elapsed_ms();
       return result;
     }
-    const Problem sub{&window, problem.device, problem.swap_duration};
-
-    // Block phase: smallest satisfiable block count with the pinned entry.
-    std::unique_ptr<TbModel> model;
-    int model_blocks = 0;  // capacity of the current model
-    int blocks = 1;
-    Result best;
-    while (true) {
-      if (expired()) {
-        result.hit_budget = true;
-        result.wall_ms = elapsed_ms();
-        return result;
-      }
-      if (model == nullptr || blocks > model_blocks) {
-        model_blocks = std::max(blocks, std::max(4, 2 * model_blocks));
-        model = std::make_unique<TbModel>(sub, model_blocks, config);
-        if (!mapping.empty()) model->pin_initial_mapping(mapping);
-      }
-      if (options.time_budget_ms > 0) {
-        model->solver().set_time_budget(std::chrono::milliseconds(
-            static_cast<std::int64_t>(
-                std::max(1.0, options.time_budget_ms - elapsed_ms()))));
-      }
-      sat::LBool status;
-      {
-        obs::Span span("windowed.solve");
-        span.arg("block_bound", blocks);
-        status =
-            model->solver().solve(std::vector<Lit>{model->block_bound(blocks)});
-        span.arg("result", status == sat::LBool::kTrue    ? "sat"
-                           : status == sat::LBool::kFalse ? "unsat"
-                                                          : "unknown");
-      }
-      if (status == sat::LBool::kUndef) {
-        result.hit_budget = true;
-        result.wall_ms = elapsed_ms();
-        return result;
-      }
-      if (status == sat::LBool::kTrue) {
-        best = model->extract();
-        break;
-      }
-      blocks++;
-    }
-
-    // Swap descent at this block count.
-    int incumbent = best.swap_count;
-    while (incumbent > 0 && !expired()) {
-      obs::Span span("windowed.solve");
-      span.arg("block_bound", blocks);
-      span.arg("swap_bound", incumbent - 1);
-      const sat::LBool status = model->solver().solve(std::vector<Lit>{
-          model->block_bound(blocks), model->swap_bound(incumbent - 1)});
-      span.arg("result", status == sat::LBool::kTrue ? "sat" : "non-sat");
-      if (status != sat::LBool::kTrue) break;
-      const Result candidate = model->extract();
-      if (candidate.swap_count < best.swap_count) best = candidate;
-      incumbent = std::min(incumbent - 1, candidate.swap_count);
-    }
+    Result& best = phase.best;
+    search.descend_swaps(*phase.model, phase.blocks, phase.blocks - 1, best);
 
     result.window_mappings.push_back(best.mapping.front());
     result.swap_count += best.swap_count;
@@ -141,7 +76,7 @@ WindowedResult synthesize_windowed_swap(const Problem& problem,
 
   result.final_mapping = mapping;
   result.solved = true;
-  result.wall_ms = elapsed_ms();
+  result.wall_ms = search.elapsed_ms();
   return result;
 }
 

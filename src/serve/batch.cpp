@@ -188,8 +188,9 @@ std::vector<Response> Server::serve_batch(
     const layout::Problem original{req.circuit, req.device,
                                    req.swap_duration};
     if (options_.use_cache) {
-      const std::uint64_t disk_hits_before = cache_.stats().disk_hits;
-      if (std::optional<CacheEntry> entry = cache_.lookup(items[i].key)) {
+      bool from_disk = false;
+      if (std::optional<CacheEntry> entry =
+              cache_.lookup(items[i].key, &from_disk)) {
         // A cached entry may lack a certificate the request wants; treat
         // that as a miss so the solve path can attach one.
         if (!req.certify || entry->has_depth_cert || entry->has_swap_cert ||
@@ -197,8 +198,7 @@ std::vector<Response> Server::serve_batch(
           responses[i].result =
               untransfer_result(entry->result, items[i].canon, original);
           responses[i].cache_hit = true;
-          responses[i].from_disk =
-              cache_.stats().disk_hits != disk_hits_before;
+          responses[i].from_disk = from_disk;
           fill_certs(*entry, responses[i]);
           observe_request();
           continue;

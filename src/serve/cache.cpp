@@ -154,9 +154,11 @@ void ResultCache::touch(const std::string& key, CacheEntry entry) {
   }
 }
 
-std::optional<CacheEntry> ResultCache::lookup(const std::string& key) {
+std::optional<CacheEntry> ResultCache::lookup(const std::string& key,
+                                              bool* from_disk) {
   obs::Span span("serve.cache.lookup");
   sync::MutexLock lock(mutex_);
+  if (from_disk != nullptr) *from_disk = false;
   const auto it = index_.find(key);
   if (it != index_.end()) {
     CacheEntry entry = it->second->entry;
@@ -200,6 +202,7 @@ std::optional<CacheEntry> ResultCache::lookup(const std::string& key) {
           CacheMetrics::get().disk_read_bytes.inc(text.size());
         }
         if (span.live()) span.arg("tier", "disk");
+        if (from_disk != nullptr) *from_disk = true;
         return entry;
       }
     }

@@ -77,8 +77,11 @@ class ResultCache {
  public:
   explicit ResultCache(CacheOptions options = {});
 
-  /// Look `key` up in the LRU, then on disk. A hit refreshes LRU recency.
-  std::optional<CacheEntry> lookup(const std::string& key)
+  /// Look `key` up in the LRU, then on disk. A hit refreshes LRU recency
+  /// and, when `from_disk` is non-null, reports whether the persistent
+  /// tier answered.
+  std::optional<CacheEntry> lookup(const std::string& key,
+                                   bool* from_disk = nullptr)
       OLSQ2_EXCLUDES(mutex_);
 
   /// Insert/overwrite. Entries with `!entry.result.solved` are rejected

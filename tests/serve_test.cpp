@@ -482,6 +482,34 @@ TEST(Server, TruncatedDiskCacheDegradesToSolves) {
   EXPECT_TRUE(layout::verify(base.problem(), response.result).ok);
 }
 
+// from_disk names the tier that answered this request, not a change in the
+// cache-wide disk-hit counter that a concurrent batch could also move.
+TEST(Server, FromDiskReportsTheAnsweringTier) {
+  TempDir dir("from_disk");
+  ServerOptions opts;
+  opts.cache.disk_dir = dir.path.string();
+  const auto base = triangle_instance();
+  Request req;
+  req.circuit = &base.circuit;
+  req.device = &base.device;
+  req.engine = Engine::kSwap;
+  {
+    Server server(opts);
+    const auto cold = server.serve(req);
+    ASSERT_TRUE(cold.result.solved);
+    EXPECT_FALSE(cold.cache_hit);
+    EXPECT_FALSE(cold.from_disk);
+    const auto memory = server.serve(req);
+    EXPECT_TRUE(memory.cache_hit);
+    EXPECT_FALSE(memory.from_disk);
+  }
+  Server fresh(opts);
+  const auto disk = fresh.serve(req);
+  EXPECT_TRUE(disk.cache_hit);
+  EXPECT_TRUE(disk.from_disk);
+  EXPECT_EQ(fresh.cache().stats().disk_hits, 1u);
+}
+
 // The depth optimizer relaxes past the default horizon ceil(1.5 * T_LB)
 // when it must; the certificate's horizon has to follow it there.
 TEST(Server, DepthCertificateCoversOptimaAboveTheDefaultHorizon) {

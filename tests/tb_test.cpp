@@ -1,5 +1,6 @@
-// TB-OLSQ2 SWAP descent: the block-compression lemma it relies on, and the
-// calls the compression lower bound lets it skip.
+// TB-OLSQ2 SWAP descent: the block-compression lemma it relies on, the
+// calls the compression lower bound lets it skip, and what the shared
+// optimizer driver must not feed it.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,6 +10,9 @@
 #include "fuzz/generator.h"
 #include "layout/tb.h"
 #include "layout/verifier.h"
+#include "layout/windowed.h"
+#include "obs/obs.h"
+#include "sat/exchange.h"
 
 namespace olsq2::layout {
 namespace {
@@ -71,9 +75,16 @@ TEST(TbCompression, SwapFreeTransitionsMergeAway) {
   EXPECT_GE(shrunk, 5);
 }
 
+const std::string* arg_of(const obs::Event& e, const char* key) {
+  for (const obs::Arg& a : e.args) {
+    if (a.key == key) return &a.value;
+  }
+  return nullptr;
+}
+
 // Rows whose SWAP optimum is B_min-1: the compression bound closes the
 // descent right after the block phase, with no UNSAT SWAP query and no
-// block relaxation.
+// block relaxation. One window is the same search, and closes the same way.
 TEST(TbCompression, OptimumAtBminMinusOneNeedsNoDescentProof) {
   const device::Device dev = device::grid(2, 3);
   struct Row {
@@ -99,6 +110,78 @@ TEST(TbCompression, OptimumAtBminMinusOneNeedsNoDescentProof) {
           << " swaps<=" << call.swap_bound;
     }
     EXPECT_TRUE(verify_transition_based(problem, r).ok);
+
+    WindowedOptions one_window;
+    one_window.gates_per_window = 1000;
+    obs::Trace& trace = obs::Trace::instance();
+    trace.begin_capture("");
+    const WindowedResult w = synthesize_windowed_swap(problem, one_window);
+    const std::vector<obs::Event> events = trace.snapshot();
+    trace.end_capture();
+    ASSERT_TRUE(w.solved);
+    EXPECT_EQ(w.window_count, 1);
+    EXPECT_EQ(w.swap_count, row.optimum);
+    for (const obs::Event& e : events) {
+      if (e.kind != obs::Event::Kind::kSpan || e.name != "windowed.solve") {
+        continue;
+      }
+      const std::string* swap_bound = arg_of(e, "swap_bound");
+      if (swap_bound == nullptr || std::stoi(*swap_bound) < 0) continue;
+      const std::string* result = arg_of(e, "result");
+      ASSERT_NE(result, nullptr);
+      EXPECT_EQ(*result, "sat") << "windowed descent call at swaps<="
+                                << *swap_bound;
+    }
+  }
+}
+
+// TB bounds count blocks, not depth, so the driver must never consult the
+// depth-keyed bound facts of a hub handed in through the options - even
+// facts that, misread as block facts, would cut the descent short.
+TEST(TbDriver, NeverReadsBoundFacts) {
+  const auto c = bengen::qaoa_3regular(6, 2);
+  const device::Device dev = device::grid(2, 3);
+  const Problem problem{&c, &dev, 1};
+  const Result plain = tb_synthesize_swap_optimal(problem);
+  ASSERT_TRUE(plain.solved);
+  ASSERT_FALSE(plain.hit_budget);
+  const int blocks = plain.pareto.back().first;
+
+  sat::ClauseExchange hub;
+  hub.note_depth_unsat(blocks);
+  hub.note_swap_unsat(blocks, plain.swap_count);
+  OptimizerOptions options;
+  options.exchange = &hub;
+  const Result shared = tb_synthesize_swap_optimal(problem, {}, options);
+  ASSERT_TRUE(shared.solved);
+  EXPECT_EQ(shared.swap_count, plain.swap_count);
+  EXPECT_EQ(shared.depth, plain.depth);
+  ASSERT_EQ(shared.calls.size(), plain.calls.size());
+  for (std::size_t i = 0; i < plain.calls.size(); ++i) {
+    EXPECT_EQ(shared.calls[i].depth_bound, plain.calls[i].depth_bound) << i;
+    EXPECT_EQ(shared.calls[i].swap_bound, plain.calls[i].swap_bound) << i;
+    EXPECT_EQ(shared.calls[i].status, plain.calls[i].status) << i;
+  }
+  EXPECT_EQ(hub.traffic().bound_pruned, 0u);
+}
+
+// The SWAP upper hint is probed once per block count, like the
+// time-resolved sweep's: a right hint and a wrong one give the same optimum.
+TEST(TbDriver, SwapHintNeverChangesTheOptimum) {
+  const auto c = bengen::qaoa_3regular(6, 2);
+  const device::Device dev = device::grid(2, 3);
+  const Problem problem{&c, &dev, 1};
+  const Result plain = tb_synthesize_swap_optimal(problem);
+  ASSERT_TRUE(plain.solved);
+  for (const int hint : {plain.swap_count, plain.swap_count - 1, 0}) {
+    SCOPED_TRACE("hint=" + std::to_string(hint));
+    OptimizerOptions options;
+    options.swap_upper_hint = hint;
+    const Result hinted = tb_synthesize_swap_optimal(problem, {}, options);
+    ASSERT_TRUE(hinted.solved);
+    EXPECT_FALSE(hinted.hit_budget);
+    EXPECT_EQ(hinted.swap_count, plain.swap_count);
+    EXPECT_TRUE(verify_transition_based(problem, hinted).ok);
   }
 }
 
