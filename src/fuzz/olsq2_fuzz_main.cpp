@@ -18,8 +18,10 @@
 //                       differential oracle to catch it
 //     --inject-plan-bug self-test: enable the deliberate planning-heuristic
 //                       bug (OLSQ2_FUZZ_INJECT_PLAN_BUG, a +1 overestimate
-//                       that breaks admissibility) and require the plan/SAT
-//                       differential oracle to catch it
+//                       that breaks admissibility) and require both the
+//                       plan/SAT differential oracle and the subarch
+//                       lift-soundness check (the planner decides small
+//                       ladder probes) to catch it
 //     --inject-subarch-bug
 //                       self-test: enable the deliberate extractor bug
 //                       (OLSQ2_FUZZ_INJECT_SUBARCH_BUG, which silently drops
@@ -161,6 +163,18 @@ int run_inject_sat_bug_selftest(const fuzz::FuzzOptions& options) {
                              });
 }
 
+/// `report` cut down to the errors that mention `check`, so a self-test
+/// passes only when that particular check fired.
+fuzz::OracleReport only_check(const fuzz::OracleReport& report,
+                              const std::string& check) {
+  fuzz::OracleReport narrowed;
+  narrowed.oracle = report.oracle;
+  for (const std::string& e : report.errors) {
+    if (e.find(check) != std::string::npos) narrowed.fail(e);
+  }
+  return narrowed;
+}
+
 int run_inject_plan_bug_selftest(const fuzz::FuzzOptions& options) {
   // The armed heuristic adds +1 whenever the true estimate is nonzero, so
   // A* typically certifies optimum+1 on instances whose real optimum is
@@ -168,10 +182,23 @@ int run_inject_plan_bug_selftest(const fuzz::FuzzOptions& options) {
   // Zero-swap instances are unaffected (some root reaches the goal with
   // h = 0, so the bug never fires on the certifying path); sweep the seed
   // stream until an instance that needs swaps comes along.
-  return run_oracle_selftest(
+  const int direct = run_oracle_selftest(
       options, "OLSQ2_FUZZ_INJECT_PLAN_BUG", "inject-plan-bug",
       "planning-heuristic", [&](std::uint64_t seed) {
         return fuzz::check_plan(fuzz::random_instance(seed, options.gen));
+      });
+  if (direct != 0) return direct;
+  // The planner also decides the subarchitecture ladder's small probes.
+  // There the armed heuristic turns the SAT probe at the true optimum k
+  // into UNSAT, the ladder certifies k+1, and check_subarch's
+  // lift-soundness check must see the inflated optimum.
+  return run_oracle_selftest(
+      options, "OLSQ2_FUZZ_INJECT_PLAN_BUG", "inject-plan-bug (ladder)",
+      "planning-heuristic", [&](std::uint64_t seed) {
+        return only_check(
+            fuzz::check_subarch(fuzz::random_instance(seed, options.gen),
+                                seed),
+            "lift-soundness violation");
       });
 }
 

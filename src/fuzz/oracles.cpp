@@ -617,6 +617,49 @@ OracleReport check_plan(const Instance& instance) {
   return report;
 }
 
+namespace {
+
+/// Probe-engine equivalence: the ladder decides a probe with the planner or
+/// a TB SAT call depending on its root count, so both must answer every
+/// probe the same way. Asks both engines, on every class of every round up
+/// to the certified k, whether the canonical subproblem admits <= k SWAPs.
+void check_probe_engines(OracleReport& report, const Instance& instance,
+                         int certified_k,
+                         const subarch::ExtractOptions& extract) {
+  const circuit::Circuit canon_circ = serve::apply_circuit_canon(
+      instance.circuit, serve::canonicalize_circuit(instance.circuit));
+  const int qubits = instance.circuit.num_qubits();
+  plan::PlanOptions popt;
+  popt.time_budget_ms = kBudgetMs;
+  for (int k = 0; k <= certified_k; ++k) {
+    const int size = std::min(qubits + k, instance.device.num_qubits());
+    const subarch::Cover cover =
+        subarch::ladder_cover(instance.device, size, extract);
+    for (const subarch::CoverClass& cls : cover.classes) {
+      const device::Device canon_dev =
+          serve::apply_device_canon(cls.rep.device, cls.canon);
+      const layout::Problem sub{&canon_circ, &canon_dev,
+                                instance.swap_duration};
+      const plan::PlanResult planned = plan::synthesize(sub, popt);
+      const layout::Result tb =
+          layout::tb_solve_fixed(sub, k + 1, k, {}, kBudgetMs);
+      if (!planned.optimal || tb.hit_budget) continue;  // undecided
+      const bool plan_sat = planned.solved && planned.swap_count <= k;
+      if (plan_sat != tb.solved) {
+        report.fail(describe(instance) + ": subarch: probe engines " +
+                    "disagree at k=" + std::to_string(k) + " on a " +
+                    std::to_string(canon_dev.num_qubits()) +
+                    "-qubit class: plan optimum " +
+                    (planned.solved ? std::to_string(planned.swap_count)
+                                    : std::string("infeasible")) +
+                    ", TB " + (tb.solved ? "SAT" : "UNSAT"));
+      }
+    }
+  }
+}
+
+}  // namespace
+
 OracleReport check_subarch(const Instance& instance, std::uint64_t seed) {
   OracleReport report;
   report.oracle = "subarch";
@@ -663,6 +706,11 @@ OracleReport check_subarch(const Instance& instance, std::uint64_t seed) {
                                     std::to_string(outcome.sub_qubits) + ")"
                               : " (direct fallback: " +
                                     outcome.fallback_reason + ")"));
+  }
+
+  if (outcome.certified) {
+    check_probe_engines(report, instance, outcome.rounds - 1,
+                        subopts.extract);
   }
 
   // Second certifying engine through the same ladder: the plan wrapper

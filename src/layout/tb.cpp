@@ -368,10 +368,15 @@ Result tb_synthesize_swap_optimal(const Problem& problem,
 }
 
 Result tb_solve_fixed(const Problem& problem, int blocks, int swap_bound,
-                      const EncodingConfig& config, double time_budget_ms) {
+                      const EncodingConfig& config, double time_budget_ms,
+                      const std::atomic<bool>* cancel) {
+  // kAlternating is the solver default this one-shot solve has always used.
   Search search(SearchEngine::kTransitionBased,
-                {.time_budget_ms = time_budget_ms});
+                {.time_budget_ms = time_budget_ms,
+                 .restart_policy = sat::Solver::RestartPolicy::kAlternating,
+                 .cancel = cancel});
   TbModel model(problem, blocks, config);
+  search.configure(model.solver());
   if (swap_bound >= 0) {
     model.assert_swap_bound_hard(swap_bound, config.cardinality);
   }

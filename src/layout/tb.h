@@ -10,6 +10,7 @@
 // of the time-resolved model's cost.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <vector>
@@ -90,9 +91,12 @@ Result tb_synthesize_block_optimal(const Problem& problem,
                                    const OptimizerOptions& options = {});
 
 /// One-shot TB solve with fixed block count and optional hard SWAP bound
-/// (Table II's TB configurations).
+/// (Table II's TB configurations, the subarchitecture ladder's probes).
+/// `cancel`, when set, interrupts the solve like an expired budget
+/// (hit_budget, no answer).
 Result tb_solve_fixed(const Problem& problem, int blocks, int swap_bound,
                       const EncodingConfig& config = {},
-                      double time_budget_ms = 0.0);
+                      double time_budget_ms = 0.0,
+                      const std::atomic<bool>* cancel = nullptr);
 
 }  // namespace olsq2::layout

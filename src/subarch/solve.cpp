@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "layout/olsq2.h"
@@ -9,6 +10,7 @@
 #include "layout/verifier.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "plan/plan.h"
 #include "serve/transfer.h"
 #include "subarch/lift.h"
 
@@ -45,7 +47,9 @@ struct Deadline {
                std::chrono::steady_clock::now() - start)
         .count();
   }
-  /// Remaining budget; 0 = unlimited, negative = expired.
+  /// Remaining budget; 0 = unlimited, negative = expired. The engines read
+  /// any value <= 0 as "unlimited", so callers must stop on a negative one
+  /// instead of passing it on.
   double remaining_ms() const {
     if (budget_ms <= 0) return 0.0;
     const double left = budget_ms - elapsed_ms();
@@ -53,6 +57,55 @@ struct Deadline {
   }
   bool expired() const { return budget_ms > 0 && remaining_ms() < 0; }
 };
+
+/// Probes with at most this many root placements go to the planner, the
+/// rest to a TB SAT call. Both engines decide the same TB SWAP optimum
+/// (DESIGN.md §13), so the choice moves time, never answers. Measured
+/// crossover (DESIGN.md §14.3): at R = 840 a plan probe took ~2 ms where an
+/// UNSAT SAT probe took ~100 ms; at R >= 5040 the planner was the slower
+/// engine (3-31 ms against TB's 0.4-19 ms).
+constexpr double kPlanProbeMaxRoots = 1000.0;
+
+/// Root placements of `program` qubits on `physical` ones: m!/(m-|Q|)!.
+double root_count(int physical, int program) {
+  double roots = 1.0;
+  for (int i = 0; i < program; ++i) roots *= physical - i;
+  return roots;
+}
+
+/// One ladder probe on the canonical subproblem: "<= k SWAPs in k+1
+/// blocks?" (k+1 blocks suffice for any <=k-SWAP TB solution: transitions
+/// without SWAPs merge, leaving at most one block per SWAP plus one).
+/// nullopt when the budget or the cancel flag cut it short.
+std::optional<Library::Probe> decide_probe(
+    const layout::Problem& sub, int k, const layout::EncodingConfig& config,
+    const layout::OptimizerOptions& options, const Deadline& deadline) {
+  Library::Probe probe;
+  if (root_count(sub.device->num_qubits(), sub.circuit->num_qubits()) <=
+      kPlanProbeMaxRoots) {
+    const double left = deadline.remaining_ms();
+    if (left < 0) return std::nullopt;
+    plan::PlanOptions popt;
+    popt.time_budget_ms = left;
+    popt.cancel = options.cancel;
+    plan::PlanResult planned = plan::synthesize(sub, popt);
+    if (planned.optimal) {
+      const bool sat = planned.solved && planned.swap_count <= k;
+      probe.status = sat ? 'S' : 'U';
+      if (sat) probe.result = std::move(planned.layout);
+      return probe;
+    }
+    // Budget, cancel or expansion cap: the TB probe decides instead.
+  }
+  const double left = deadline.remaining_ms();
+  if (left < 0) return std::nullopt;
+  layout::Result r =
+      layout::tb_solve_fixed(sub, k + 1, k, config, left, options.cancel);
+  if (r.hit_budget) return std::nullopt;
+  probe.status = r.solved ? 'S' : 'U';
+  if (r.solved) probe.result = std::move(r);
+  return probe;
+}
 
 struct LadderResult {
   bool ok = false;
@@ -102,31 +155,11 @@ LadderResult run_ladder(const layout::Problem& problem,
     const int want = circ.num_qubits() + k;
     const int msize = std::min(want, dev.num_qubits());
 
-    Cover cover;
-    if (msize == dev.num_qubits()) {
-      // The "subarchitecture" is the whole device: one trivial class. The
-      // probe below is then a plain bounded solve, which keeps the ladder
-      // total on small devices (the fuzz oracle's regime).
-      CoverClass cls;
-      cls.rep = make_subdevice(dev, [&] {
-        std::vector<int> all(dev.num_qubits());
-        for (int p = 0; p < dev.num_qubits(); ++p) all[p] = p;
-        return all;
-      }());
-      cls.canon = serve::canonicalize_device(cls.rep.device);
-      cls.members = 1;
-      cls.induced_edges = dev.num_edges();
-      cover.size = msize;
-      cover.complete = true;
-      cover.enumerated = 1;
-      cover.classes.push_back(std::move(cls));
-    } else {
-      if (msize > subopts.extract.max_sub_qubits) {
-        return bail("subgraph size cap (m=" + std::to_string(msize) + ")");
-      }
-      cover = enumerate_cover(dev, msize, subopts.extract);
-      if (!cover.complete) return bail("enumeration budget");
+    if (msize < dev.num_qubits() && msize > subopts.extract.max_sub_qubits) {
+      return bail("subgraph size cap (m=" + std::to_string(msize) + ")");
     }
+    const Cover cover = ladder_cover(dev, msize, subopts.extract);
+    if (!cover.complete) return bail("enumeration budget");
     out.classes_total += static_cast<std::int64_t>(cover.classes.size());
 
     for (const CoverClass& cls : cover.classes) {
@@ -143,15 +176,12 @@ LadderResult run_ladder(const layout::Problem& problem,
             serve::apply_device_canon(cls.rep.device, cls.canon);
         const layout::Problem sub{&canon_circ, &canon_dev,
                                   problem.swap_duration};
-        // k+1 blocks suffice for any <=k-SWAP TB solution: transitions
-        // without SWAPs merge, leaving at most one block per SWAP plus one.
-        layout::Result r =
-            layout::tb_solve_fixed(sub, k + 1, k, config, deadline.remaining_ms());
+        std::optional<Library::Probe> decided =
+            decide_probe(sub, k, config, options, deadline);
         ++out.probes;
-        count("subarch_probes_total", "Ladder feasibility SAT probes solved");
-        if (r.hit_budget) return bail("probe budget");
-        probe.status = r.solved ? 'S' : 'U';
-        if (r.solved) probe.result = r;
+        count("subarch_probes_total", "Ladder feasibility probes solved");
+        if (!decided) return bail(cancelled(options) ? "cancelled" : "budget");
+        probe = std::move(*decided);
         // Conclusive probes only: the canonical answer is instance-exact
         // even when the canonical *search* was inexact (inexact forms
         // split keys, never merge them), so memoization is always sound.
@@ -217,6 +247,27 @@ layout::Result direct_or_empty(const layout::Problem& problem,
 }
 
 }  // namespace
+
+Cover ladder_cover(const device::Device& dev, int size,
+                   const ExtractOptions& options) {
+  if (size < dev.num_qubits()) return enumerate_cover(dev, size, options);
+  // The "subarchitecture" is the whole device: one trivial class. Its
+  // probe is then a plain bounded solve, which keeps the ladder total on
+  // small devices (the fuzz oracle's regime).
+  CoverClass cls;
+  std::vector<int> all(dev.num_qubits());
+  for (int p = 0; p < dev.num_qubits(); ++p) all[p] = p;
+  cls.rep = make_subdevice(dev, std::move(all));
+  cls.canon = serve::canonicalize_device(cls.rep.device);
+  cls.members = 1;
+  cls.induced_edges = dev.num_edges();
+  Cover cover;
+  cover.size = dev.num_qubits();
+  cover.complete = true;
+  cover.enumerated = 1;
+  cover.classes.push_back(std::move(cls));
+  return cover;
+}
 
 bool should_engage(const layout::Problem& problem,
                    const SubarchOptions& subopts) {

@@ -4,7 +4,10 @@
 // connected induced (|Q|+k)-vertex subgraphs of the device and asks one
 // memoized TB feasibility question per class: "<= k SWAPs in k+1 blocks?"
 // (k+1 blocks suffice for any <=k-SWAP transition-based solution - merge
-// swap-free transitions). Any SAT class ends the ladder: combined with the
+// swap-free transitions). The planner (plan::synthesize) answers probes
+// with a small root space, a TB SAT call the rest; both compute the same
+// TB SWAP optimum, so the answer and its memo entry do not depend on the
+// engine. Any SAT class ends the ladder: combined with the
 // all-UNSAT rounds before it, the lifted solution's SWAP count k is the
 // certified full-device optimum (§14.2's region argument maps every
 // full-device <=k-SWAP solution into some enumerated class). All-UNSAT
@@ -115,6 +118,13 @@ layout::WindowedResult synthesize_windowed_swap(
 layout::PortfolioEntry portfolio_entry(
     const layout::OptimizerOptions& base = {},
     const SubarchOptions& subopts = {});
+
+/// The classes the ladder probes at subdevice size `size` (|Q| + k, capped
+/// at the device): the whole device as one class once `size` reaches it,
+/// else enumerate_cover. The probe-engine oracle (fuzz::check_subarch)
+/// walks the same classes.
+Cover ladder_cover(const device::Device& dev, int size,
+                   const ExtractOptions& options = {});
 
 /// True when the transparent serve pre-pass should engage for this
 /// problem (enabled, device at/above threshold, more physical than

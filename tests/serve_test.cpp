@@ -482,6 +482,45 @@ TEST(Server, TruncatedDiskCacheDegradesToSolves) {
   EXPECT_TRUE(layout::verify(base.problem(), response.result).ok);
 }
 
+// A persistent tier that cannot be used - here a regular file where the
+// directory should be (a mode-000 directory would not do: root reads it) -
+// is only a missed cache: the batch still solves and verifies every
+// request, and nothing claims a disk hit.
+TEST(Server, UnusableDiskDirectoryDegradesToSolves) {
+  TempDir dir("not_a_dir");
+  const std::filesystem::path file = dir.path / "cache";
+  std::ofstream(file) << "not a directory\n";
+  ServerOptions opts;
+  opts.cache.disk_dir = file.string();
+
+  const auto base = triangle_instance();
+  bengen::Rng rng(5);
+  const auto relabeled = fuzz::relabel_physical_qubits(base, rng);
+  Request req;
+  req.engine = Engine::kSwap;
+  std::vector<Request> batch;
+  for (const auto* inst : {&base, &relabeled}) {
+    req.circuit = &inst->circuit;
+    req.device = &inst->device;
+    batch.push_back(req);
+  }
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("server " + std::to_string(round));
+    Server server(opts);
+    std::vector<Response> responses;
+    ASSERT_NO_THROW(responses = server.serve_batch(batch));
+    ASSERT_EQ(responses.size(), batch.size());
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      ASSERT_TRUE(responses[i].result.solved);
+      EXPECT_FALSE(responses[i].from_disk);
+      const layout::Problem problem{batch[i].circuit, batch[i].device, 1};
+      EXPECT_TRUE(layout::verify(problem, responses[i].result).ok);
+    }
+    EXPECT_EQ(server.cache().stats().disk_hits, 0u);
+  }
+  EXPECT_TRUE(std::filesystem::is_regular_file(file));
+}
+
 // from_disk names the tier that answered this request, not a change in the
 // cache-wide disk-hit counter that a concurrent batch could also move.
 TEST(Server, FromDiskReportsTheAnsweringTier) {

@@ -18,6 +18,7 @@
 #include "device/presets.h"
 #include "layout/tb.h"
 #include "layout/verifier.h"
+#include "obs/obs.h"
 #include "serve/batch.h"
 #include "subarch/extract.h"
 #include "subarch/library.h"
@@ -230,6 +231,88 @@ TEST(SubarchLadder, CertifiesSwapsOnEagle127) {
   EXPECT_EQ(outcome.rounds, result.swap_count + 1);
   const auto verdict = layout::verify_transition_based(problem, result);
   EXPECT_TRUE(verdict.ok);
+}
+
+// Span names recorded inside a subarch.ladder span on the same thread.
+std::multiset<std::string> spans_under_ladder(
+    const std::vector<obs::Event>& events) {
+  std::multiset<std::string> names;
+  for (const obs::Event& ladder : events) {
+    if (ladder.kind != obs::Event::Kind::kSpan ||
+        ladder.name != "subarch.ladder") {
+      continue;
+    }
+    for (const obs::Event& e : events) {
+      if (&e == &ladder || e.kind != obs::Event::Kind::kSpan ||
+          e.tid != ladder.tid) {
+        continue;
+      }
+      if (e.ts >= ladder.ts && e.ts + e.dur <= ladder.ts + ladder.dur) {
+        names.insert(e.name);
+      }
+    }
+  }
+  return names;
+}
+
+struct TracedLadder {
+  layout::Result result;
+  SubarchOutcome outcome;
+  std::multiset<std::string> spans;  // recorded under subarch.ladder
+};
+
+TracedLadder traced_ladder(const layout::Problem& problem) {
+  Library library;  // fresh: every probe is decided, none recalled
+  SubarchOptions subopts;
+  subopts.library = &library;
+  TracedLadder run;
+  obs::Trace& trace = obs::Trace::instance();
+  trace.begin_capture("");
+  run.result =
+      tb_synthesize_swap_optimal(problem, {}, {}, subopts, &run.outcome);
+  run.spans = spans_under_ladder(trace.snapshot());
+  trace.end_capture();
+  return run;
+}
+
+// A 4-qubit region probes subdevices of 4-7 qubits (at most 840 root
+// placements each): the planner decides every probe and no TB SAT call
+// runs inside the ladder, yet the certified optimum is the direct
+// engine's. The cross-region gate closes a cycle of at most 4 qubits,
+// which heavy-hex (girth 12) cannot host, so round 0 is all-UNSAT.
+TEST(SubarchLadder, SmallRootSpaceProbesUseThePlanner) {
+  const device::Device dev = device::ibm_eagle127();
+  const circuit::Circuit circ = bengen::region_workload(dev, 4, 9, 1, 5);
+  const layout::Problem problem{&circ, &dev, 1};
+  const TracedLadder run = traced_ladder(problem);
+  ASSERT_TRUE(run.result.solved);
+  ASSERT_TRUE(run.outcome.certified) << run.outcome.fallback_reason;
+  EXPECT_GE(run.outcome.rounds, 2);
+  EXPECT_EQ(run.spans.count("tb.solve"), 0u);
+  EXPECT_EQ(run.spans.count("plan.synthesize"),
+            static_cast<std::size_t>(run.outcome.probes));
+  EXPECT_TRUE(layout::verify_transition_based(problem, run.result).ok);
+
+  const layout::Result direct = layout::tb_synthesize_swap_optimal(problem);
+  ASSERT_TRUE(direct.solved);
+  ASSERT_FALSE(direct.hit_budget);
+  EXPECT_EQ(run.result.swap_count, direct.swap_count);
+  EXPECT_EQ(run.outcome.swap_optimum, direct.swap_count);
+}
+
+// A 7-qubit region's probes have at least 7! = 5040 root placements, above
+// the planner's share: they stay TB SAT calls.
+TEST(SubarchLadder, LargeRootSpaceProbesStayOnTb) {
+  const device::Device dev = device::ibm_eagle127();
+  const circuit::Circuit circ = bengen::region_workload(dev, 7, 16, 1, 3);
+  const layout::Problem problem{&circ, &dev, 1};
+  const TracedLadder run = traced_ladder(problem);
+  ASSERT_TRUE(run.result.solved);
+  ASSERT_TRUE(run.outcome.certified) << run.outcome.fallback_reason;
+  EXPECT_EQ(run.spans.count("tb.solve"),
+            static_cast<std::size_t>(run.outcome.probes));
+  EXPECT_EQ(run.spans.count("plan.synthesize"), 0u);
+  EXPECT_TRUE(layout::verify_transition_based(problem, run.result).ok);
 }
 
 TEST(SubarchLift, ProjectionRoundTrip) {

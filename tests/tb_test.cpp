@@ -3,6 +3,7 @@
 // optimizer driver must not feed it.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 
 #include "bengen/workloads.h"
@@ -183,6 +184,26 @@ TEST(TbDriver, SwapHintNeverChangesTheOptimum) {
     EXPECT_EQ(hinted.swap_count, plain.swap_count);
     EXPECT_TRUE(verify_transition_based(problem, hinted).ok);
   }
+}
+
+// A fixed solve arms the solver with the caller's cancel flag: one set
+// before the call returns no answer and reports the budget, even on a
+// query that is SAT (the subarchitecture ladder's probes rely on this to
+// unwind a cancelled portfolio entry).
+TEST(TbDriver, FixedSolveHonoursAPresetCancelFlag) {
+  const auto c = bengen::qaoa_3regular(6, 2);
+  const device::Device dev = device::grid(2, 3);
+  const Problem problem{&c, &dev, 1};
+  const Result free_run = tb_solve_fixed(problem, 4, -1);
+  ASSERT_TRUE(free_run.solved);
+  ASSERT_FALSE(free_run.hit_budget);
+
+  const std::atomic<bool> cancel{true};
+  const Result cancelled = tb_solve_fixed(problem, 4, -1, {}, 0.0, &cancel);
+  EXPECT_TRUE(cancelled.hit_budget);
+  EXPECT_FALSE(cancelled.solved);
+  ASSERT_EQ(cancelled.calls.size(), 1u);
+  EXPECT_EQ(cancelled.calls[0].status, '?');
 }
 
 }  // namespace
