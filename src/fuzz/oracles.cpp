@@ -700,12 +700,10 @@ OracleReport check_subarch(const Instance& instance, std::uint64_t seed) {
     report.fail(describe(instance) + ": subarch: lift-soundness violation: " +
                 "lifted optimum " + std::to_string(lifted.swap_count) +
                 " vs direct optimum " + std::to_string(direct.swap_count) +
-                (outcome.used ? " (ladder certified=" +
-                                    std::string(outcome.certified ? "1" : "0") +
-                                    ", sub_qubits=" +
-                                    std::to_string(outcome.sub_qubits) + ")"
-                              : " (direct fallback: " +
-                                    outcome.fallback_reason + ")"));
+                (outcome.certified
+                     ? " (ladder certified, sub_qubits=" +
+                           std::to_string(outcome.sub_qubits) + ")"
+                     : " (direct fallback: " + outcome.fallback_reason + ")"));
   }
 
   if (outcome.certified) {

@@ -19,7 +19,7 @@
 // of paper §III-B, regardless of encoding.
 #pragma once
 
-#include <functional>
+#include <string>
 #include <vector>
 
 #include "layout/types.h"
@@ -33,20 +33,6 @@ struct PortfolioEntry {
   EncodingConfig config;
   OptimizerOptions options;
   std::string name;  // for reporting; defaults to config.label()
-  /// Non-SAT strategy slot: when set, the race worker calls this instead
-  /// of the SAT optimizer (config is ignored). The planning engine
-  /// registers itself as a third strategy this way (plan::portfolio_entry).
-  /// The callee receives the entry's options (budget, cancel, seed), must
-  /// poll options.cancel, and must report non-certified results with
-  /// hit_budget=true so they cannot cancel the SAT race. Note: such
-  /// entries may return transition-based results; callers that require a
-  /// time-resolved winner must check PortfolioResult::best.transition_based.
-  std::function<Result(const Problem&, const OptimizerOptions&)> solve;
-  /// Optional quick upper-bounder, run serially before the race (kSwap
-  /// objective only): a nonnegative return value seeds swap_upper_hint on
-  /// every SAT entry, letting their descent loops jump-probe it. Any
-  /// value is sound (see OptimizerOptions::swap_upper_hint).
-  std::function<int(const Problem&)> upper_bound;
 };
 
 struct PortfolioResult {

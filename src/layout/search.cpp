@@ -168,20 +168,13 @@ int Search::descend_swaps(M& model, int primary, int lower, Result& best) {
   sweep_span.arg(names.primary_arg, primary);
   int refuted = -1;
   int incumbent = best.swap_count;
-  // The hint is probed once per sweep: SAT teleports the descent, UNSAT is
-  // a true (primary, hint) fact and the one-by-one decrement resumes.
-  const int hint = options_.swap_upper_hint;
-  bool try_hint = hint >= 0;
   while (incumbent > lower) {
     if (expired()) break;
-    const bool jump = try_hint && hint < incumbent - 1;
-    const int target = jump ? hint : incumbent - 1;
-    try_hint = false;
+    const int target = incumbent - 1;
     if (facts_ != nullptr && facts_->swap_known_unsat(primary, target)) {
       // A peer proved (primary <= d, swaps <= k) empty; this query is a
       // subset of that region.
       record_pruned(primary, target);
-      if (jump) continue;
       break;
     }
     const sat::LBool status =
@@ -189,9 +182,8 @@ int Search::descend_swaps(M& model, int primary, int lower, Result& best) {
               {primary_bound(model, primary), model.swap_bound(target)},
               primary, target);
     if (status == sat::LBool::kFalse) {
-      refuted = std::max(refuted, target);
+      refuted = target;
       if (facts_ != nullptr) facts_->note_swap_unsat(primary, target);
-      if (jump) continue;
     }
     if (status != sat::LBool::kTrue) break;
     Result candidate = model.extract();

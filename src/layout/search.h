@@ -63,9 +63,8 @@ class Search {
 
   /// Iterative SWAP descent at fixed primary bound `primary` (paper
   /// §III-B2), improving `best` in place. It stops once the incumbent
-  /// reaches the proven `lower` bound. OptimizerOptions::swap_upper_hint,
-  /// when set, is probed once first. Returns the largest SWAP bound refuted
-  /// at `primary`, or -1. Instantiated for Model and TbModel.
+  /// reaches the proven `lower` bound. Returns the largest SWAP bound
+  /// refuted at `primary`, or -1. Instantiated for Model and TbModel.
   template <class M>
   int descend_swaps(M& model, int primary, int lower, Result& best);
 

@@ -119,14 +119,6 @@ struct OptimizerOptions {
   /// Optional externally-owned cancellation flag (portfolio solving). When
   /// it turns true, the optimizer unwinds as if its budget expired.
   const std::atomic<bool>* cancel = nullptr;
-  /// Externally-supplied upper bound on the SWAP optimum (-1 = none), e.g.
-  /// the planning engine's anytime incumbent. The SWAP descent "jump
-  /// probes" this bound once per depth (TB: block count) sweep before the
-  /// one-by-one decrement: SAT lets the incumbent jump straight down, UNSAT falls
-  /// back to the classic descent (and records a true bound fact). Sound
-  /// for ANY hint value - a wrong hint costs one extra SAT call and can
-  /// never change the reported optimum.
-  int swap_upper_hint = -1;
   /// VSIDS tie-breaking jitter seed (0 = none). Distinct seeds diversify
   /// portfolio entries; a fixed seed reproduces a run exactly.
   std::uint64_t seed = 0;

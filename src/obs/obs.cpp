@@ -185,20 +185,6 @@ void Span::arg(const char* key, bool value) {
   event_.args.push_back({key, value ? "true" : "false", /*quoted=*/false});
 }
 
-void counter(const char* name, double value) {
-  Trace& trace = Trace::instance();
-  if (!trace.enabled()) return;
-  Event e;
-  e.kind = Event::Kind::kCounter;
-  e.name = name;
-  e.tid = Trace::thread_id();
-  e.ts = trace.now_ns();
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", value);
-  e.args.push_back({"value", buf, /*quoted=*/false});
-  trace.record(std::move(e));
-}
-
 void instant(const char* name) {
   Trace& trace = Trace::instance();
   if (!trace.enabled()) return;
@@ -232,7 +218,6 @@ std::string to_chrome_trace(
     switch (e.kind) {
       case Event::Kind::kSpan: out << "X"; break;
       case Event::Kind::kInstant: out << "i"; break;
-      case Event::Kind::kCounter: out << "C"; break;
     }
     out << "\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":";
     append_us(out, e.ts);
@@ -241,11 +226,6 @@ std::string to_chrome_trace(
       append_us(out, e.dur);
     }
     if (e.kind == Event::Kind::kInstant) out << ",\"s\":\"t\"";
-    // Chrome groups counter tracks by (pid, name) and ignores tid, so
-    // multi-threaded streams of the same counter (one per portfolio
-    // strategy) would interleave into one garbled track. An explicit "id"
-    // keyed by the thread id splits them back apart.
-    if (e.kind == Event::Kind::kCounter) out << ",\"id\":\"" << e.tid << "\"";
     if (!e.args.empty()) {
       out << ",\"args\":";
       append_args(out, e.args);
@@ -284,17 +264,8 @@ std::string build_summary(const std::vector<Event>& events) {
   // parent precedes children starting at the same instant), and rebuild
   // nesting from interval containment.
   std::map<std::uint32_t, std::vector<const Event*>> spans_by_tid;
-  std::map<std::string, double> counters;  // last sample per counter
-  std::map<std::pair<std::uint32_t, std::string>, double> counters_by_key;
   for (const Event& e : events) {
-    if (e.kind == Event::Kind::kSpan) {
-      spans_by_tid[e.tid].push_back(&e);
-    } else if (e.kind == Event::Kind::kCounter && !e.args.empty()) {
-      counters_by_key[{e.tid, e.name}] = std::atof(e.args[0].value.c_str());
-    }
-  }
-  for (const auto& [key, value] : counters_by_key) {
-    counters[key.second] += value;  // sum final values across threads
+    if (e.kind == Event::Kind::kSpan) spans_by_tid[e.tid].push_back(&e);
   }
 
   SummaryNode root;
@@ -321,14 +292,6 @@ std::string build_summary(const std::vector<Event>& events) {
   std::ostringstream out;
   out << "== trace summary ==\n";
   for (const auto& [name, node] : root.children) print_node(out, name, node, 0);
-  if (!counters.empty()) {
-    out << "counters (final values):\n";
-    for (const auto& [name, value] : counters) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.0f", value);
-      out << "  " << name << " = " << buf << "\n";
-    }
-  }
   return out.str();
 }
 

@@ -4,7 +4,6 @@
 // Concepts:
 //   Span     - RAII timed region; spans nest naturally per thread. Each
 //              span can carry key/value annotations ("args").
-//   counter  - named gauge sample (value over time), e.g. conflicts.
 //   instant  - a point event (e.g. a solver restart).
 //
 // All events funnel into the process-wide Trace sink, which is thread-safe
@@ -37,7 +36,7 @@ namespace olsq2::obs {
 /// Nanoseconds since the current capture's epoch (monotonic clock).
 using TimeNs = std::int64_t;
 
-/// One span/counter annotation. `quoted` selects JSON string vs raw number.
+/// One span annotation. `quoted` selects JSON string vs raw number.
 struct Arg {
   std::string key;
   std::string value;
@@ -45,7 +44,7 @@ struct Arg {
 };
 
 struct Event {
-  enum class Kind : std::uint8_t { kSpan, kInstant, kCounter };
+  enum class Kind : std::uint8_t { kSpan, kInstant };
   Kind kind = Kind::kSpan;
   std::string name;
   std::uint32_t tid = 0;
@@ -139,9 +138,6 @@ class Span {
   TimeNs start_ = 0;
   Event event_;
 };
-
-/// Record a gauge sample for counter `name`.
-void counter(const char* name, double value);
 
 /// Record a point event.
 void instant(const char* name);

@@ -281,9 +281,9 @@ CheckResult validate_chrome_trace(std::string_view text) {
       }
       result.span_events++;
     } else if (ph->string == "C") {
-      // Counter samples must be attributable to a thread: Chrome keys
-      // counter tracks by (pid, name, id), so the exporter sets "id" to
-      // the thread id (and "tid" for consistency with other events).
+      // Counter samples (from writers other than obs, which records none)
+      // must be attributable to a thread: Chrome keys counter tracks by
+      // (pid, name, id), so each sample needs an "id" and a "tid".
       const Value* tid = e.find("tid");
       const Value* id = e.find("id");
       if (tid == nullptr || tid->type != Value::Type::kNumber) {

@@ -26,7 +26,8 @@ CheckResult check_json(std::string_view text);
 
 /// check_json + Chrome trace schema: the root must be an object with a
 /// "traceEvents" array whose entries are objects carrying string "name" and
-/// "ph"; "X" events must also carry numeric "ts" and "dur" >= 0.
+/// "ph"; "X" events must also carry numeric "ts" and "dur" >= 0, and "C"
+/// events a numeric "tid" and a string "id".
 CheckResult validate_chrome_trace(std::string_view text);
 
 }  // namespace olsq2::obs

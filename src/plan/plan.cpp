@@ -416,28 +416,4 @@ PlanResult synthesize(const layout::Problem& problem,
   return result;
 }
 
-layout::PortfolioEntry portfolio_entry(const layout::OptimizerOptions& base) {
-  layout::PortfolioEntry entry;
-  entry.options = base;
-  entry.name = "plan+astar";
-  entry.solve = [](const layout::Problem& problem,
-                   const layout::OptimizerOptions& options) {
-    PlanOptions popt;
-    popt.time_budget_ms = options.time_budget_ms;
-    popt.cancel = options.cancel;
-    if (options.seed != 0) popt.seed = options.seed;
-    // PlanResult::layout already reports hit_budget for non-certified
-    // plans, which keeps them from cancelling the SAT race.
-    return synthesize(problem, popt).layout;
-  };
-  entry.upper_bound = [](const layout::Problem& problem) {
-    PlanOptions popt;
-    popt.max_expansions = 2000;
-    popt.max_roots = 4096;
-    const PlanResult r = synthesize(problem, popt);
-    return r.solved ? r.swap_count : -1;
-  };
-  return entry;
-}
-
 }  // namespace olsq2::plan

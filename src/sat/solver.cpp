@@ -615,18 +615,6 @@ LBool Solver::search(std::int64_t conflicts_before_restart) {
           progress_cb_(stats_);
           next_progress_conflicts_ = stats_.conflicts + progress_interval_;
         }
-        if (trace_live_) {
-          obs::counter("sat.conflicts", static_cast<double>(stats_.conflicts));
-          obs::counter("sat.learnts", static_cast<double>(num_learnts()));
-          obs::counter("sat.propagations",
-                       static_cast<double>(stats_.propagations));
-          if (exchange_ != nullptr) {
-            obs::counter("sat.exchange.exported",
-                         static_cast<double>(stats_.exported_clauses));
-            obs::counter("sat.exchange.imported",
-                         static_cast<double>(stats_.imported_clauses));
-          }
-        }
         if (budget_exhausted()) return LBool::kUndef;
         // Backtrack-boundary audit, sampled on the same cadence as the
         // budget check so the deep scan stays off the per-conflict path.

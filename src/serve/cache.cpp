@@ -164,7 +164,6 @@ std::optional<CacheEntry> ResultCache::lookup(const std::string& key,
     CacheEntry entry = it->second->entry;
     touch(key, entry);
     stats_.hits++;
-    obs::counter("serve.cache.hits", static_cast<double>(stats_.hits));
     if (obs::metrics::enabled()) CacheMetrics::get().hits.inc();
     if (span.live()) span.arg("tier", "memory");
     return entry;
@@ -190,13 +189,9 @@ std::optional<CacheEntry> ResultCache::lookup(const std::string& key,
         stats_.key_collisions++;  // byte-for-byte: hash collisions are misses
       } else if (entry) {
         stats_.bytes_read += text.size();
-        obs::counter("serve.cache.bytes",
-                     static_cast<double>(stats_.bytes_read +
-                                         stats_.bytes_written));
         touch(key, *entry);
         stats_.hits++;
         stats_.disk_hits++;
-        obs::counter("serve.cache.hits", static_cast<double>(stats_.hits));
         if (obs::metrics::enabled()) {
           CacheMetrics::get().hits.inc();
           CacheMetrics::get().disk_read_bytes.inc(text.size());
@@ -208,7 +203,6 @@ std::optional<CacheEntry> ResultCache::lookup(const std::string& key,
     }
   }
   stats_.misses++;
-  obs::counter("serve.cache.misses", static_cast<double>(stats_.misses));
   if (obs::metrics::enabled()) CacheMetrics::get().misses.inc();
   if (span.live()) span.arg("tier", "miss");
   return std::nullopt;
@@ -237,9 +231,6 @@ bool ResultCache::insert(const std::string& key, const CacheEntry& entry) {
       fs::remove(tmp, ec);
     } else {
       stats_.bytes_written += text.size();
-      obs::counter("serve.cache.bytes",
-                   static_cast<double>(stats_.bytes_read +
-                                       stats_.bytes_written));
       if (obs::metrics::enabled()) {
         CacheMetrics::get().disk_written_bytes.inc(text.size());
       }

@@ -18,9 +18,9 @@
 // never inserted - a budget-limited failure is not a fact about the
 // instance.
 //
-// Observability: every lookup/insert runs under an obs span, and the
-// hit/miss/byte counters stream through obs::counter as
-// "serve.cache.hits" / "serve.cache.misses" / "serve.cache.bytes".
+// Observability: every lookup/insert runs under an obs span (lookups tag
+// the tier that answered); the hit/miss/byte totals are stats() and the
+// serve_cache_*_total metrics.
 //
 // Concurrency: thread-safe. One annotated mutex ("serve.cache") guards
 // both tiers - the LRU list/index and the persistent tier's read/write

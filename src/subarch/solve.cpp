@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "layout/olsq2.h"
 #include "layout/tb.h"
 #include "layout/verifier.h"
 #include "obs/metrics.h"
@@ -32,15 +31,19 @@ bool device_connected(const device::Device& dev) {
   return true;
 }
 
-bool cancelled(const layout::OptimizerOptions& options) {
+/// Shared by layout::OptimizerOptions and plan::PlanOptions.
+template <class Options>
+bool cancelled(const Options& options) {
   return options.cancel != nullptr &&
          options.cancel->load(std::memory_order_relaxed);
 }
 
 struct Deadline {
+  explicit Deadline(double budget) : budget_ms(budget) {}
+
   std::chrono::steady_clock::time_point start =
       std::chrono::steady_clock::now();
-  double budget_ms = 0.0;  // <= 0: unlimited
+  double budget_ms;  // <= 0: unlimited
 
   double elapsed_ms() const {
     return std::chrono::duration<double, std::milli>(
@@ -57,6 +60,19 @@ struct Deadline {
   }
   bool expired() const { return budget_ms > 0 && remaining_ms() < 0; }
 };
+
+/// `options` with its budget cut to what `deadline` has left, so the ladder
+/// and the engine run after it share the caller's one budget. nullopt once
+/// the budget is gone or the cancel flag is set.
+template <class Options>
+std::optional<Options> within(const Options& options,
+                              const Deadline& deadline) {
+  const double left = deadline.remaining_ms();
+  if (left < 0 || cancelled(options)) return std::nullopt;
+  Options cut = options;
+  cut.time_budget_ms = left;
+  return cut;
+}
 
 /// Probes with at most this many root placements go to the planner, the
 /// rest to a TB SAT call. Both engines decide the same TB SWAP optimum
@@ -122,7 +138,8 @@ struct LadderResult {
 LadderResult run_ladder(const layout::Problem& problem,
                         const layout::EncodingConfig& config,
                         const layout::OptimizerOptions& options,
-                        const SubarchOptions& subopts) {
+                        const SubarchOptions& subopts,
+                        const Deadline& deadline) {
   obs::Span span("subarch.ladder");
   LadderResult lad;
   SubarchOutcome& out = lad.outcome;
@@ -147,8 +164,6 @@ LadderResult run_ladder(const layout::Problem& problem,
       subopts.library != nullptr ? *subopts.library : Library::process_wide();
   const serve::CircuitCanon ccanon = serve::canonicalize_circuit(circ);
   const circuit::Circuit canon_circ = serve::apply_circuit_canon(circ, ccanon);
-  Deadline deadline;
-  deadline.budget_ms = options.time_budget_ms;
 
   for (int k = 0; k <= subopts.max_extra_qubits; ++k) {
     out.rounds = k + 1;
@@ -200,7 +215,6 @@ LadderResult run_ladder(const layout::Problem& problem,
                                         problem.swap_duration};
       lad.sub_result =
           serve::untransfer_result(probe.result, icanon, rep_problem);
-      out.used = true;
       out.certified = true;
       out.sub_qubits = cls.rep.device.num_qubits();
       out.swap_optimum = lad.sub_result.swap_count;
@@ -232,18 +246,6 @@ LadderResult run_ladder(const layout::Problem& problem,
 
 void fill(SubarchOutcome* outcome, const SubarchOutcome& value) {
   if (outcome != nullptr) *outcome = value;
-}
-
-layout::Result direct_or_empty(const layout::Problem& problem,
-                               const layout::EncodingConfig& config,
-                               const layout::OptimizerOptions& options,
-                               const SubarchOptions& subopts) {
-  if (!subopts.fallback_to_direct) {
-    layout::Result r;
-    r.hit_budget = true;
-    return r;
-  }
-  return layout::tb_synthesize_swap_optimal(problem, config, options);
 }
 
 }  // namespace
@@ -282,7 +284,8 @@ layout::Result tb_synthesize_swap_optimal(const layout::Problem& problem,
                                           const layout::OptimizerOptions& options,
                                           const SubarchOptions& subopts,
                                           SubarchOutcome* outcome) {
-  LadderResult lad = run_ladder(problem, config, options, subopts);
+  const Deadline deadline(options.time_budget_ms);
+  LadderResult lad = run_ladder(problem, config, options, subopts, deadline);
   if (lad.ok) {
     layout::Result lifted =
         lift_result(lad.sub_result, lad.winner, *problem.device);
@@ -299,21 +302,32 @@ layout::Result tb_synthesize_swap_optimal(const layout::Problem& problem,
     lad.outcome.fallback_reason = "lift verification failed";
   }
   fill(outcome, lad.outcome);
-  return direct_or_empty(problem, config, options, subopts);
+  if (const std::optional<layout::OptimizerOptions> direct =
+          within(options, deadline)) {
+    return layout::tb_synthesize_swap_optimal(problem, config, *direct);
+  }
+  layout::Result spent;
+  spent.hit_budget = true;
+  spent.wall_ms = deadline.elapsed_ms();
+  return spent;
 }
 
 plan::PlanResult plan_synthesize(const layout::Problem& problem,
                                  const plan::PlanOptions& options,
                                  const SubarchOptions& subopts,
                                  SubarchOutcome* outcome) {
-  layout::OptimizerOptions lopts;
-  lopts.time_budget_ms = options.time_budget_ms;
+  layout::OptimizerOptions lopts;  // the ladder reads only the cancel flag
   lopts.cancel = options.cancel;
-  LadderResult lad = run_ladder(problem, {}, lopts, subopts);
+  const Deadline deadline(options.time_budget_ms);
+  LadderResult lad = run_ladder(problem, {}, lopts, subopts, deadline);
   if (lad.ok) {
     const layout::Problem sub{problem.circuit, &lad.winner.device,
                               problem.swap_duration};
-    plan::PlanResult planned = plan::synthesize(sub, options);
+    plan::PlanResult planned;
+    if (const std::optional<plan::PlanOptions> sub_options =
+            within(options, deadline)) {
+      planned = plan::synthesize(sub, *sub_options);
+    }
     // The ladder certified the optimum; the sub-device plan must land on
     // it (it hosts a witness, and anything cheaper would lift below a
     // certified bound). A mismatch is an internal inconsistency - degrade.
@@ -334,108 +348,16 @@ plan::PlanResult plan_synthesize(const layout::Problem& problem,
           "Pre-pass invocations that degraded to the direct solve");
   }
   fill(outcome, lad.outcome);
-  if (!subopts.fallback_to_direct) {
-    plan::PlanResult r;
-    r.hit_budget = true;
-    r.layout.hit_budget = true;
-    return r;
+  if (const std::optional<plan::PlanOptions> direct =
+          within(options, deadline)) {
+    return plan::synthesize(problem, *direct);
   }
-  return plan::synthesize(problem, options);
-}
-
-layout::Result synthesize_swap_optimal(const layout::Problem& problem,
-                                       const layout::EncodingConfig& config,
-                                       const layout::OptimizerOptions& options,
-                                       const SubarchOptions& subopts,
-                                       SubarchOutcome* outcome) {
-  LadderResult lad = run_ladder(problem, config, options, subopts);
-  if (lad.ok) {
-    const layout::Problem sub{problem.circuit, &lad.winner.device,
-                              problem.swap_duration};
-    layout::OptimizerOptions sub_options = options;
-    sub_options.swap_upper_hint = lad.sub_result.swap_count;
-    layout::Result solved =
-        layout::synthesize_swap_optimal(sub, config, sub_options);
-    if (solved.solved) {
-      layout::Result lifted = lift_result(solved, lad.winner, *problem.device);
-      if (layout::verify(problem, lifted).ok) {
-        // Sound upper bound: the SWAP count is ladder-certified but the
-        // time-resolved depth choice is not reduction-invariant (§14.5),
-        // so the result must not pretend to be a certified optimum.
-        lifted.hit_budget = true;
-        lad.outcome.certified = false;
-        fill(outcome, lad.outcome);
-        return lifted;
-      }
-    }
-    lad.outcome = SubarchOutcome{};
-    lad.outcome.fallback_reason = "time-resolved sub-solve failed";
-  }
-  fill(outcome, lad.outcome);
-  if (!subopts.fallback_to_direct) {
-    layout::Result r;
-    r.hit_budget = true;
-    return r;
-  }
-  return layout::synthesize_swap_optimal(problem, config, options);
-}
-
-layout::WindowedResult synthesize_windowed_swap(
-    const layout::Problem& problem, const layout::WindowedOptions& options,
-    const layout::EncodingConfig& config, int region_slack,
-    SubarchOutcome* outcome) {
-  SubarchOutcome out;
-  const device::Device& dev = *problem.device;
-  const int qubits = problem.circuit->num_qubits();
-  const int msize = std::min(dev.num_qubits(), qubits + std::max(0, region_slack));
-  if (msize >= dev.num_qubits() || qubits > dev.num_qubits() ||
-      !device_connected(dev)) {
-    out.fallback_reason = "no reduction available";
-    fill(outcome, out);
-    return layout::synthesize_windowed_swap(problem, options, config);
-  }
-  const SubDevice region = greedy_region(dev, msize);
-  const layout::Problem sub{problem.circuit, &region.device,
-                            problem.swap_duration};
-  layout::WindowedResult wr =
-      layout::synthesize_windowed_swap(sub, options, config);
-  if (!wr.solved) {
-    out.fallback_reason = "windowed sub-solve failed";
-    fill(outcome, out);
-    return layout::synthesize_windowed_swap(problem, options, config);
-  }
-  for (std::vector<int>& row : wr.window_mappings) {
-    for (int& p : row) p = region.to_full[p];
-  }
-  for (int& p : wr.final_mapping) p = region.to_full[p];
-  out.used = true;
-  out.certified = false;  // windowed synthesis is heuristic by design
-  out.sub_qubits = region.device.num_qubits();
-  out.to_full = region.to_full;
-  out.reduction_ratio = static_cast<double>(dev.num_qubits()) /
-                        static_cast<double>(std::max(1, out.sub_qubits));
-  fill(outcome, out);
-  return wr;
-}
-
-layout::PortfolioEntry portfolio_entry(const layout::OptimizerOptions& base,
-                                       const SubarchOptions& subopts) {
-  layout::PortfolioEntry entry;
-  entry.options = base;
-  entry.name = "subarch-ladder";
-  entry.solve = [subopts](const layout::Problem& problem,
-                          const layout::OptimizerOptions& options) {
-    SubarchOptions race = subopts;
-    // Racing against full-device SAT entries: a fallback would duplicate
-    // their work, so the entry reports an uncertified miss instead.
-    race.fallback_to_direct = false;
-    SubarchOutcome out;
-    layout::Result result =
-        tb_synthesize_swap_optimal(problem, {}, options, race, &out);
-    if (!out.certified) result.hit_budget = true;
-    return result;
-  };
-  return entry;
+  plan::PlanResult spent;
+  spent.hit_budget = true;
+  spent.layout.hit_budget = true;
+  spent.wall_ms = deadline.elapsed_ms();
+  spent.layout.wall_ms = spent.wall_ms;
+  return spent;
 }
 
 }  // namespace olsq2::subarch

@@ -11,19 +11,19 @@
 // all-UNSAT rounds before it, the lifted solution's SWAP count k is the
 // certified full-device optimum (§14.2's region argument maps every
 // full-device <=k-SWAP solution into some enumerated class). All-UNSAT
-// rounds increment k. Any gate failure - disconnected interaction graph,
-// enumeration or probe budget, cancel, ladder cap - degrades to the
-// direct engine on the full device, so the wrappers below are always safe
-// drop-in replacements.
+// rounds increment k. Any other gate failure - disconnected interaction
+// graph, enumeration cap, ladder cap - degrades to the direct engine on the
+// full device under what is left of the caller's budget, so the wrappers
+// below are always safe drop-in replacements. A ladder stopped by the
+// budget or the cancel flag returns an unsolved hit_budget result instead:
+// the caller's budget is spent.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "layout/portfolio.h"
 #include "layout/types.h"
-#include "layout/windowed.h"
 #include "plan/plan.h"
 #include "subarch/extract.h"
 #include "subarch/library.h"
@@ -43,21 +43,15 @@ struct SubarchOptions {
   ExtractOptions extract;
   /// Probe memoization; nullptr uses the process-wide library.
   Library* library = nullptr;
-  /// On gate failure run the direct engine (the drop-in contract). The
-  /// portfolio entry turns this off: inside a race a fallback would
-  /// duplicate the SAT entries' work, so it reports a miss instead.
-  bool fallback_to_direct = true;
 };
 
 /// Telemetry of one wrapper invocation (also the hook tests and the fuzz
 /// oracle assert against).
 struct SubarchOutcome {
-  /// The pre-pass produced the returned result (false = direct fallback).
-  bool used = false;
-  /// The ladder closed: the returned SWAP count is the certified
-  /// full-device optimum.
+  /// The ladder closed and produced the returned result: its SWAP count is
+  /// the certified full-device optimum (false = direct fallback or miss).
   bool certified = false;
-  /// Why the pre-pass disengaged (empty when used).
+  /// Why the pre-pass disengaged (empty when certified).
   std::string fallback_reason;
   int sub_qubits = 0;
   int swap_optimum = -1;
@@ -74,8 +68,8 @@ struct SubarchOutcome {
 /// Certified swap-optimal transition-based synthesis through the
 /// subarchitecture ladder; equals layout::tb_synthesize_swap_optimal's
 /// swap optimum on every instance (fuzz::check_subarch), falls back to it
-/// on any gate failure. The lifted result is verified against the full
-/// device before being returned.
+/// on any gate failure except budget or cancel. The lifted result is
+/// verified against the full device before being returned.
 layout::Result tb_synthesize_swap_optimal(
     const layout::Problem& problem, const layout::EncodingConfig& config = {},
     const layout::OptimizerOptions& options = {},
@@ -90,34 +84,6 @@ plan::PlanResult plan_synthesize(const layout::Problem& problem,
                                  const plan::PlanOptions& options = {},
                                  const SubarchOptions& subopts = {},
                                  SubarchOutcome* outcome = nullptr);
-
-/// Time-resolved SWAP-objective engine on the winning subarchitecture.
-/// The SWAP bound is certified by the ladder, but the time-resolved
-/// Pareto sweep's *depth* choice is not device-reduction invariant (a
-/// larger device may reach the same SWAP count at smaller depth), so the
-/// result reports hit_budget=true - a sound upper bound, not a certified
-/// time-resolved optimum (§14.5) - and serve does not auto-route kSwap.
-layout::Result synthesize_swap_optimal(
-    const layout::Problem& problem, const layout::EncodingConfig& config = {},
-    const layout::OptimizerOptions& options = {},
-    const SubarchOptions& subopts = {}, SubarchOutcome* outcome = nullptr);
-
-/// Windowed deep-circuit composition: pick a greedy region of
-/// |Q| + region_slack qubits, run layout::synthesize_windowed_swap on it,
-/// lift every window mapping. Heuristic (windowed synthesis is already
-/// non-optimal); degrades to the full-device windowed pass on failure.
-layout::WindowedResult synthesize_windowed_swap(
-    const layout::Problem& problem,
-    const layout::WindowedOptions& options = {},
-    const layout::EncodingConfig& config = {}, int region_slack = 4,
-    SubarchOutcome* outcome = nullptr);
-
-/// Race the certified ladder as a portfolio strategy (transition-based
-/// results; certified wins may cancel the SAT race, fallback results
-/// report hit_budget=true and cannot - plan::portfolio_entry's contract).
-layout::PortfolioEntry portfolio_entry(
-    const layout::OptimizerOptions& base = {},
-    const SubarchOptions& subopts = {});
 
 /// The classes the ladder probes at subdevice size `size` (|Q| + k, capped
 /// at the device): the whole device as one class once `size` reaches it,

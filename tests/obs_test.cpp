@@ -1,13 +1,12 @@
 // Tests for the observability layer (src/obs/): span nesting and timing,
-// Chrome-trace well-formedness, env-var activation, counter aggregation,
-// Stats deltas, JSON escaping, and the optimizer-loop integration contract
-// (one span + one telemetry record per incremental SAT call).
+// Chrome-trace well-formedness, env-var activation, Stats deltas, JSON
+// escaping, and the optimizer-loop integration contract (one span + one
+// telemetry record per incremental SAT call).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "circuit/circuit.h"
 #include "device/presets.h"
@@ -44,7 +43,6 @@ TEST(ObsSpan, DisabledSpansRecordNothing) {
     obs::Span span("never");
     span.arg("k", 1);
   }
-  obs::counter("never", 1.0);
   obs::instant("never");
   obs::Trace::instance().begin_capture("");
   EXPECT_TRUE(obs::Trace::instance().snapshot().empty());
@@ -87,17 +85,6 @@ TEST(ObsSpan, NestingAndTimingMonotonicity) {
   EXPECT_NE(summary.find("later  x1"), std::string::npos) << summary;
 }
 
-TEST(ObsSpan, CounterAggregationInSummary) {
-  obs::Trace& trace = obs::Trace::instance();
-  trace.begin_capture("");
-  obs::counter("widgets", 10.0);
-  obs::counter("widgets", 42.0);  // last sample wins
-  const std::vector<obs::Event> events = trace.snapshot();
-  const std::string summary = obs::build_summary(events);
-  trace.end_capture();
-  EXPECT_NE(summary.find("widgets = 42"), std::string::npos) << summary;
-}
-
 TEST(ObsTrace, ChromeTraceParsesBack) {
   const std::string path = testing::TempDir() + "/obs_chrome_trace.json";
   obs::Trace& trace = obs::Trace::instance();
@@ -111,7 +98,6 @@ TEST(ObsTrace, ChromeTraceParsesBack) {
     span.arg("flag", true);
   }
   obs::instant("tick");
-  obs::counter("conflicts", 123.0);
   trace.end_capture();
 
   const std::string text = read_file(path);
@@ -119,32 +105,33 @@ TEST(ObsTrace, ChromeTraceParsesBack) {
   const obs::CheckResult check = obs::validate_chrome_trace(text);
   EXPECT_TRUE(check.ok) << check.error;
   EXPECT_EQ(check.span_events, 1);
-  EXPECT_EQ(check.counter_events, 1);
-  EXPECT_GE(check.total_events, 3);
+  EXPECT_EQ(check.counter_events, 0);
+  EXPECT_GE(check.total_events, 2);
   std::remove(path.c_str());
 }
 
+// The exporter writes no counter ("C") events, but the checker still reads
+// them in traces from other writers: Chrome groups counter tracks by (pid,
+// name, id), so each sample needs a numeric tid and a string id.
 TEST(ObsTrace, CounterEventsCarryThreadId) {
-  const std::string path = testing::TempDir() + "/obs_counter_id_trace.json";
-  obs::Trace& trace = obs::Trace::instance();
-  trace.begin_capture(path);
-  obs::counter("learnts", 5.0);
-  std::thread([] { obs::counter("learnts", 9.0); }).join();
-  trace.end_capture();
+  const std::string head = "{\"traceEvents\":[{\"name\":\"learnts\",";
+  const obs::CheckResult good = obs::validate_chrome_trace(
+      head + "\"ph\":\"C\",\"pid\":1,\"tid\":2,\"ts\":0,\"id\":\"2\","
+             "\"args\":{\"value\":5}}]}");
+  EXPECT_TRUE(good.ok) << good.error;
+  EXPECT_EQ(good.counter_events, 1);
 
-  const std::string text = read_file(path);
-  // Chrome groups counter tracks by (pid, name, id); without a per-thread
-  // id the two threads' samples would collapse into one zig-zag track.
-  const obs::CheckResult check = obs::validate_chrome_trace(text);
-  EXPECT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.counter_events, 2);
-  std::size_t ids = 0;
-  for (std::size_t pos = text.find("\"id\":\""); pos != std::string::npos;
-       pos = text.find("\"id\":\"", pos + 1)) {
-    ++ids;
-  }
-  EXPECT_EQ(ids, 2u) << text;
-  std::remove(path.c_str());
+  const obs::CheckResult no_id = obs::validate_chrome_trace(
+      head + "\"ph\":\"C\",\"pid\":1,\"tid\":2,\"ts\":0}]}");
+  EXPECT_FALSE(no_id.ok);
+  EXPECT_NE(no_id.error.find("missing string id"), std::string::npos)
+      << no_id.error;
+
+  const obs::CheckResult no_tid = obs::validate_chrome_trace(
+      head + "\"ph\":\"C\",\"pid\":1,\"ts\":0,\"id\":\"2\"}]}");
+  EXPECT_FALSE(no_tid.ok);
+  EXPECT_NE(no_tid.error.find("missing numeric tid"), std::string::npos)
+      << no_tid.error;
 }
 
 TEST(ObsTrace, EnvVarActivation) {

@@ -2,7 +2,7 @@
 // optima must agree with TB-OLSQ2's swap optimum, both strategies must
 // agree with each other, budget-cut runs must degrade to sound upper
 // bounds, the golden manifest's pinned TB optima must be reproduced, and
-// the portfolio/serve integration points must behave.
+// the serve integration point must behave.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,8 +11,6 @@
 
 #include "bengen/workloads.h"
 #include "device/presets.h"
-#include "layout/olsq2.h"
-#include "layout/portfolio.h"
 #include "layout/tb.h"
 #include "layout/verifier.h"
 #include "plan/plan.h"
@@ -107,7 +105,7 @@ TEST(PlanEngine, BudgetCutDegradesToUpperBound) {
   EXPECT_FALSE(bounded.optimal);
   EXPECT_TRUE(bounded.hit_budget);
   // Non-certified results must surface as budget-limited so the serve
-  // cache never pins them and portfolio races are never cancelled by them.
+  // cache never pins them.
   EXPECT_TRUE(bounded.layout.hit_budget);
   EXPECT_GE(bounded.swap_count, full.swap_count);
   const auto verdict = layout::verify_transition_based(problem, bounded.layout);
@@ -197,67 +195,6 @@ TEST(PlanServe, EngineTagRoundTripsAndDispatches) {
   const serve::Response warm = server.serve(request);
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(warm.result.swap_count, cold.result.swap_count);
-}
-
-TEST(PlanPortfolio, RacesAsThirdStrategyAndSeedsTheHint) {
-  circuit::Circuit circ = bengen::qaoa_3regular(4, 7);
-  const device::Device dev = device::grid(1, 4);
-  const layout::Problem problem{&circ, &dev, 1};
-
-  std::vector<layout::PortfolioEntry> entries =
-      layout::default_portfolio(layout::Objective::kSwap);
-  entries.push_back(portfolio_entry());
-  const std::size_t plan_slot = entries.size() - 1;
-  ASSERT_TRUE(entries[plan_slot].solve);
-  ASSERT_TRUE(entries[plan_slot].upper_bound);
-
-  const layout::PortfolioResult portfolio = layout::synthesize_portfolio(
-      problem, layout::Objective::kSwap, std::move(entries));
-  ASSERT_GE(portfolio.winner, 0);
-  ASSERT_TRUE(portfolio.best.solved);
-
-  const layout::Result reference = layout::synthesize_swap_optimal(problem);
-  ASSERT_TRUE(reference.solved);
-  // The plan strategy returns the transition-based optimum, which can only
-  // be <= the time-resolved one; whichever entry wins, the SWAP count must
-  // land in that bracket and the winning result must verify.
-  const layout::Result tb = layout::tb_synthesize_swap_optimal(problem);
-  ASSERT_TRUE(tb.solved);
-  EXPECT_GE(portfolio.best.swap_count, tb.swap_count);
-  EXPECT_LE(portfolio.best.swap_count, reference.swap_count);
-  const auto verdict =
-      portfolio.best.transition_based
-          ? layout::verify_transition_based(problem, portfolio.best)
-          : layout::verify(problem, portfolio.best);
-  EXPECT_TRUE(verdict.ok);
-
-  const layout::Result& plan_result = portfolio.all[plan_slot];
-  if (plan_result.solved && !plan_result.hit_budget) {
-    EXPECT_EQ(plan_result.swap_count, tb.swap_count);
-  }
-}
-
-TEST(PlanHint, SwapDescentIsSoundForAnyHintValue) {
-  circuit::Circuit circ = bengen::qft(4);
-  const device::Device dev = device::grid(1, 4);
-  const layout::Problem problem{&circ, &dev, 1};
-  const layout::Result reference = layout::synthesize_swap_optimal(problem);
-  ASSERT_TRUE(reference.solved);
-
-  // Exact, too-low (UNSAT probe, then classic descent), and too-high
-  // (useless but harmless) hints must all land on the same optimum.
-  for (const int hint : {reference.swap_count, 0, reference.swap_count + 3}) {
-    SCOPED_TRACE("hint=" + std::to_string(hint));
-    layout::OptimizerOptions options;
-    options.swap_upper_hint = hint;
-    const layout::Result hinted =
-        layout::synthesize_swap_optimal(problem, {}, options);
-    ASSERT_TRUE(hinted.solved);
-    EXPECT_EQ(hinted.swap_count, reference.swap_count);
-    EXPECT_EQ(hinted.depth, reference.depth);
-    const auto verdict = layout::verify(problem, hinted);
-    EXPECT_TRUE(verdict.ok);
-  }
 }
 
 }  // namespace

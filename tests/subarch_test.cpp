@@ -1,12 +1,13 @@
 // Property suite for the subarchitecture extraction + lift stack
 // (src/subarch, DESIGN.md §14): cover enumeration against brute force,
 // ladder-vs-direct agreement, lift round-trips, library canonical keying,
-// budget/cancel degradation, and the windowed/portfolio/serve compositions.
+// budget/cancel degradation, and the serve composition.
 // Suite names all start with "Subarch" (the CI TSan filter keys on it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <set>
 #include <string>
@@ -197,7 +198,6 @@ TEST(SubarchLadder, CertifiesOnEagle127) {
       tb_synthesize_swap_optimal(problem, {}, {}, {}, &outcome);
   ASSERT_TRUE(result.solved);
   EXPECT_FALSE(result.hit_budget);
-  EXPECT_TRUE(outcome.used);
   EXPECT_TRUE(outcome.certified) << outcome.fallback_reason;
   EXPECT_EQ(result.swap_count, 0);
   EXPECT_EQ(outcome.swap_optimum, 0);
@@ -406,7 +406,6 @@ TEST(SubarchBudget, EnumerationBudgetDegradesToDirect) {
   const layout::Result result =
       tb_synthesize_swap_optimal(problem, {}, {}, subopts, &outcome);
   ASSERT_TRUE(result.solved);  // the direct fallback answered
-  EXPECT_FALSE(outcome.used);
   EXPECT_FALSE(outcome.certified);
   EXPECT_FALSE(outcome.fallback_reason.empty());
   EXPECT_EQ(result.swap_count,
@@ -425,7 +424,7 @@ TEST(SubarchBudget, SizeCapAndDisabledDegradeToDirect) {
   const layout::Result r1 =
       tb_synthesize_swap_optimal(problem, {}, {}, capped, &outcome);
   ASSERT_TRUE(r1.solved);
-  EXPECT_FALSE(outcome.used);
+  EXPECT_FALSE(outcome.certified);
 
   SubarchOptions disabled;
   disabled.enable = false;
@@ -433,25 +432,108 @@ TEST(SubarchBudget, SizeCapAndDisabledDegradeToDirect) {
   const layout::Result r2 =
       tb_synthesize_swap_optimal(problem, {}, {}, disabled, &off);
   ASSERT_TRUE(r2.solved);
-  EXPECT_FALSE(off.used);
+  EXPECT_FALSE(off.certified);
   EXPECT_EQ(r1.swap_count, r2.swap_count);
 }
 
+// True when a TB SAT call or a plan search in `events` found an answer.
+bool any_engine_answered(const std::vector<obs::Event>& events) {
+  const auto has_arg = [](const obs::Event& e, const std::string& key,
+                          const std::string& value) {
+    return std::any_of(e.args.begin(), e.args.end(), [&](const obs::Arg& a) {
+      return a.key == key && a.value == value;
+    });
+  };
+  return std::any_of(events.begin(), events.end(), [&](const obs::Event& e) {
+    return (e.name == "tb.solve" && has_arg(e, "result", "sat")) ||
+           (e.name == "plan.synthesize" && has_arg(e, "optimal", "yes"));
+  });
+}
+
+// A cancel flag set before the call stops the ladder and skips the direct
+// fallback: both wrappers report an unsolved, budget-limited result, and
+// no engine ran to an answer on the way.
 TEST(SubarchBudget, CancelWithoutFallbackReportsMiss) {
   circuit::Circuit ghz = bengen::ghz(4);
   const device::Device dev = device::ibm_eagle127();
   const layout::Problem problem{&ghz, &dev, 1};
   std::atomic<bool> cancel{true};
+  obs::Trace& trace = obs::Trace::instance();
+  trace.begin_capture("");
+
   layout::OptimizerOptions options;
   options.cancel = &cancel;
-  SubarchOptions subopts;
-  subopts.fallback_to_direct = false;  // the portfolio contract
   SubarchOutcome outcome;
-  const layout::Result result =
-      tb_synthesize_swap_optimal(problem, {}, options, subopts, &outcome);
-  EXPECT_FALSE(result.solved);
-  EXPECT_TRUE(result.hit_budget);
+  const layout::Result tb =
+      tb_synthesize_swap_optimal(problem, {}, options, {}, &outcome);
+  EXPECT_FALSE(tb.solved);
+  EXPECT_TRUE(tb.hit_budget);
   EXPECT_FALSE(outcome.certified);
+  EXPECT_EQ(outcome.fallback_reason, "cancelled");
+
+  plan::PlanOptions popt;
+  popt.cancel = &cancel;
+  SubarchOutcome plan_outcome;
+  const plan::PlanResult planned =
+      plan_synthesize(problem, popt, {}, &plan_outcome);
+  EXPECT_FALSE(planned.solved);
+  EXPECT_TRUE(planned.hit_budget);
+  EXPECT_TRUE(planned.layout.hit_budget);
+  EXPECT_FALSE(plan_outcome.certified);
+
+  EXPECT_FALSE(any_engine_answered(trace.snapshot()));
+  trace.end_capture();
+}
+
+// The ladder and the direct fallback share the caller's one budget. On a
+// 6-qubit QFT the ladder runs out of time in its SWAP rounds, and the
+// direct engines on 127 qubits need far longer than the budget too: a
+// fallback that restarted the budget would take about twice as long, and
+// its SAT calls or plan search would run outside the ladder.
+TEST(SubarchBudget, FallbackSpendsOnlyTheBudgetLeft) {
+  const circuit::Circuit qft = bengen::qft(6);
+  const device::Device dev = device::ibm_eagle127();
+  const layout::Problem problem{&qft, &dev, 1};
+  constexpr double kBudgetMs = 500.0;
+  constexpr double kSlackMs = 400.0;  // below kBudgetMs: a second budget fails
+  const auto elapsed_ms = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  obs::Trace& trace = obs::Trace::instance();
+  trace.begin_capture("");
+
+  layout::OptimizerOptions options;
+  options.time_budget_ms = kBudgetMs;
+  SubarchOutcome outcome;
+  auto start = std::chrono::steady_clock::now();
+  const layout::Result tb =
+      tb_synthesize_swap_optimal(problem, {}, options, {}, &outcome);
+  EXPECT_LT(elapsed_ms(start), kBudgetMs + kSlackMs);
+  EXPECT_FALSE(outcome.certified);
+  EXPECT_TRUE(tb.hit_budget);
+
+  plan::PlanOptions popt;
+  popt.time_budget_ms = kBudgetMs;
+  SubarchOutcome plan_outcome;
+  start = std::chrono::steady_clock::now();
+  const plan::PlanResult planned =
+      plan_synthesize(problem, popt, {}, &plan_outcome);
+  EXPECT_LT(elapsed_ms(start), kBudgetMs + kSlackMs);
+  EXPECT_FALSE(plan_outcome.certified);
+  EXPECT_TRUE(planned.layout.hit_budget);
+
+  const std::vector<obs::Event> events = trace.snapshot();
+  trace.end_capture();
+  const std::multiset<std::string> inside = spans_under_ladder(events);
+  for (const char* engine : {"tb.solve", "plan.synthesize"}) {
+    const auto all = std::count_if(
+        events.begin(), events.end(),
+        [&](const obs::Event& e) { return e.name == engine; });
+    EXPECT_EQ(static_cast<std::size_t>(all), inside.count(engine))
+        << engine << " ran outside the ladder";
+  }
 }
 
 TEST(SubarchPlan, WrapperCertifiesOnEagle127) {
@@ -467,75 +549,6 @@ TEST(SubarchPlan, WrapperCertifiesOnEagle127) {
       layout::verify_transition_based(problem, planned.layout);
   EXPECT_TRUE(verdict.ok) << (verdict.errors.empty() ? std::string()
                                                      : verdict.errors[0]);
-}
-
-TEST(SubarchTimeResolved, ReportsUpperBoundNotCertificate) {
-  // §14.5: the time-resolved Pareto sweep's depth choice is not
-  // device-reduction invariant, so the kSwap wrapper must never claim a
-  // certified time-resolved optimum.
-  circuit::Circuit ghz = bengen::ghz(5);
-  const device::Device dev = device::ibm_eagle127();
-  const layout::Problem problem{&ghz, &dev, 1};
-  SubarchOutcome outcome;
-  const layout::Result result =
-      synthesize_swap_optimal(problem, {}, {}, {}, &outcome);
-  ASSERT_TRUE(result.solved);
-  EXPECT_TRUE(result.hit_budget);  // sound upper bound, not a certificate
-  EXPECT_FALSE(result.transition_based);
-  const auto verdict = layout::verify(problem, result);
-  EXPECT_TRUE(verdict.ok) << (verdict.errors.empty() ? std::string()
-                                                     : verdict.errors[0]);
-}
-
-TEST(SubarchWindowed, ComposesOnDeepCircuitAt127Qubits) {
-  circuit::Circuit ising = bengen::ising(6, 4);
-  const device::Device dev = device::ibm_eagle127();
-  const layout::Problem problem{&ising, &dev, 1};
-  layout::WindowedOptions wopts;
-  wopts.gates_per_window = 24;
-  SubarchOutcome outcome;
-  const layout::WindowedResult result =
-      synthesize_windowed_swap(problem, wopts, {}, 4, &outcome);
-  ASSERT_TRUE(result.solved);
-  EXPECT_GE(result.window_count, 1);
-  ASSERT_FALSE(result.window_mappings.empty());
-  // Every window mapping is an injective assignment into full-device
-  // physical indices.
-  for (const auto& row : result.window_mappings) {
-    ASSERT_EQ(static_cast<int>(row.size()), ising.num_qubits());
-    std::set<int> used;
-    for (const int p : row) {
-      EXPECT_GE(p, 0);
-      EXPECT_LT(p, dev.num_qubits());
-      EXPECT_TRUE(used.insert(p).second);
-    }
-  }
-}
-
-TEST(SubarchPortfolio, EntryHonorsTheRaceContract) {
-  const layout::PortfolioEntry entry = portfolio_entry();
-  ASSERT_TRUE(entry.solve);
-  EXPECT_EQ(entry.name, "subarch-ladder");
-
-  // Certifiable instance: the hook returns a certified result that may
-  // cancel the race (hit_budget=false).
-  circuit::Circuit ghz = bengen::ghz(5);
-  const device::Device dev = device::ibm_eagle127();
-  const layout::Problem problem{&ghz, &dev, 1};
-  const layout::Result win = entry.solve(problem, entry.options);
-  ASSERT_TRUE(win.solved);
-  EXPECT_FALSE(win.hit_budget);
-  EXPECT_EQ(win.swap_count, 0);
-
-  // Non-certifiable instance (disconnected interaction graph): the hook
-  // must report a miss (hit_budget=true), never a fallback solve that
-  // could cancel the SAT entries with an uncertified answer.
-  circuit::Circuit split(4, "split");
-  split.add_gate("cx", 0, 1);
-  split.add_gate("cx", 2, 3);
-  const layout::Problem unsplittable{&split, &dev, 1};
-  const layout::Result miss = entry.solve(unsplittable, entry.options);
-  EXPECT_TRUE(miss.hit_budget);
 }
 
 TEST(SubarchServe, PrePassRoutesTbSwapAndPlanTransparently) {

@@ -1,6 +1,6 @@
 // Unit tests for the raw-synchronization-primitive lint (tools/synclint.h):
 // comment/string stripping, whole-token matching, allowlist parsing and
-// glob semantics, and report rendering.
+// glob semantics, stale-entry detection, and report rendering.
 #include "tools/synclint.h"
 
 #include <gtest/gtest.h>
@@ -52,6 +52,21 @@ TEST(Synclint, IgnoresCommentsAndStrings) {
                              "const char* r = R\"(std::condition_variable)\";\n"
                              "char q = 'x'; // 'std::mutex'\n");
   EXPECT_TRUE(findings.empty()) << lint::report(findings);
+}
+
+// A digit separator is not a character literal: read as one, the lone
+// quote in 200'000 would blank out the atomic on the next line.
+TEST(Synclint, DigitSeparatorsDoNotOpenCharLiterals) {
+  const auto findings = scan("a.h",
+                             "int n = 2'000'000;\n"
+                             "int m = 200'000;\n"
+                             "std::atomic<bool>* flag;\n"
+                             "char c = u8'x'; std::mutex mu;\n");
+  ASSERT_EQ(findings.size(), 2u) << lint::report(findings);
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_EQ(findings[0].token, "std::atomic");
+  EXPECT_EQ(findings[1].line, 4);
+  EXPECT_EQ(findings[1].token, "std::mutex");
 }
 
 TEST(Synclint, LineNumbersSurviveStripping) {
@@ -127,6 +142,28 @@ TEST(Synclint, ReportNamesFileLineTokenAndCount) {
   const auto ok = scan("src/x.h", "std::atomic<int> v;\n",
                        "*src/x.h  std::atomic  fine\n");
   EXPECT_TRUE(lint::report(ok).empty());
+}
+
+TEST(Synclint, StaleAllowlistEntryIsReported) {
+  const std::vector<lint::AllowEntry> allowlist = lint::parse_allowlist(
+      "*src/x.h     std::atomic  live flag\n"
+      "*src/gone.h  std::atomic  file deleted since\n"
+      "*src/x.h     std::mutex   token no longer used\n");
+  const auto findings =
+      lint::scan_source("src/x.h", "std::atomic<int> v;\n", allowlist);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_TRUE(findings[0].allowed);
+
+  const std::vector<lint::AllowEntry> stale =
+      lint::stale_entries(allowlist, findings);
+  ASSERT_EQ(stale.size(), 2u);
+  EXPECT_EQ(stale[0].pattern, "*src/gone.h");
+  EXPECT_EQ(stale[1].token, "std::mutex");
+  const std::string text = lint::report(findings, stale);
+  EXPECT_NE(text.find("*src/gone.h  std::atomic"), std::string::npos) << text;
+  EXPECT_NE(text.find("covers no finding"), std::string::npos) << text;
+  const std::vector<lint::AllowEntry> live_only = {allowlist[0]};
+  EXPECT_TRUE(lint::stale_entries(live_only, findings).empty());
 }
 
 }  // namespace

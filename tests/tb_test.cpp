@@ -166,30 +166,10 @@ TEST(TbDriver, NeverReadsBoundFacts) {
   EXPECT_EQ(hub.traffic().bound_pruned, 0u);
 }
 
-// The SWAP upper hint is probed once per block count, like the
-// time-resolved sweep's: a right hint and a wrong one give the same optimum.
-TEST(TbDriver, SwapHintNeverChangesTheOptimum) {
-  const auto c = bengen::qaoa_3regular(6, 2);
-  const device::Device dev = device::grid(2, 3);
-  const Problem problem{&c, &dev, 1};
-  const Result plain = tb_synthesize_swap_optimal(problem);
-  ASSERT_TRUE(plain.solved);
-  for (const int hint : {plain.swap_count, plain.swap_count - 1, 0}) {
-    SCOPED_TRACE("hint=" + std::to_string(hint));
-    OptimizerOptions options;
-    options.swap_upper_hint = hint;
-    const Result hinted = tb_synthesize_swap_optimal(problem, {}, options);
-    ASSERT_TRUE(hinted.solved);
-    EXPECT_FALSE(hinted.hit_budget);
-    EXPECT_EQ(hinted.swap_count, plain.swap_count);
-    EXPECT_TRUE(verify_transition_based(problem, hinted).ok);
-  }
-}
-
 // A fixed solve arms the solver with the caller's cancel flag: one set
 // before the call returns no answer and reports the budget, even on a
 // query that is SAT (the subarchitecture ladder's probes rely on this to
-// unwind a cancelled portfolio entry).
+// unwind a cancelled request).
 TEST(TbDriver, FixedSolveHonoursAPresetCancelFlag) {
   const auto c = bengen::qaoa_3regular(6, 2);
   const device::Device dev = device::grid(2, 3);

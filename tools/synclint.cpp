@@ -34,6 +34,27 @@ const std::vector<std::string>& banned_tokens() {
   return tokens;
 }
 
+namespace {
+
+bool identifier_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+/// True when the quote at `pos` is a digit separator (1'000'000, 0xFF'FF)
+/// rather than the start of a character literal: the token it continues
+/// starts with a digit. A character literal's prefix (u8'a', L'a') does not.
+bool digit_separator(std::string_view source, std::size_t pos) {
+  std::size_t start = pos;
+  while (start > 0 &&
+         (identifier_char(source[start - 1]) || source[start - 1] == '\'')) {
+    --start;
+  }
+  return start < pos &&
+         std::isdigit(static_cast<unsigned char>(source[start])) != 0;
+}
+
+}  // namespace
+
 std::string strip_comments_and_strings(std::string_view source) {
   std::string out;
   out.reserve(source.size());
@@ -72,7 +93,7 @@ std::string strip_comments_and_strings(std::string_view source) {
         } else if (c == '"') {
           mode = Mode::kString;
           out += ' ';
-        } else if (c == '\'') {
+        } else if (c == '\'' && !digit_separator(source, i)) {
           mode = Mode::kChar;
           out += ' ';
         } else {
@@ -180,10 +201,6 @@ bool glob_match(std::string_view pattern, std::string_view path) {
 
 namespace {
 
-bool identifier_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
 /// Whole-identifier occurrence check: the character before must not be an
 /// identifier char or ':' (rejects `foo::std::mutex`-style qualified hits
 /// and `my_std::mutex`), and the character after must not extend the
@@ -202,13 +219,16 @@ bool whole_token_at(std::string_view text, std::size_t pos,
   return true;
 }
 
+bool covers(const AllowEntry& entry, std::string_view path,
+            std::string_view token) {
+  return (entry.token == "*" || entry.token == token) &&
+         glob_match(entry.pattern, path);
+}
+
 const AllowEntry* find_allow(const std::vector<AllowEntry>& allowlist,
                              std::string_view path, std::string_view token) {
   for (const AllowEntry& entry : allowlist) {
-    if ((entry.token == "*" || entry.token == token) &&
-        glob_match(entry.pattern, path)) {
-      return &entry;
-    }
+    if (covers(entry, path, token)) return &entry;
   }
   return nullptr;
 }
@@ -281,8 +301,26 @@ std::vector<Finding> scan_tree(const std::string& root,
   return findings;
 }
 
-std::string report(const std::vector<Finding>& findings) {
+std::vector<AllowEntry> stale_entries(const std::vector<AllowEntry>& allowlist,
+                                      const std::vector<Finding>& findings) {
+  std::vector<AllowEntry> stale;
+  for (const AllowEntry& entry : allowlist) {
+    const bool live =
+        std::any_of(findings.begin(), findings.end(), [&](const Finding& f) {
+          return covers(entry, f.file, f.token);
+        });
+    if (!live) stale.push_back(entry);
+  }
+  return stale;
+}
+
+std::string report(const std::vector<Finding>& findings,
+                   const std::vector<AllowEntry>& stale) {
   std::ostringstream out;
+  for (const AllowEntry& entry : stale) {
+    out << "allowlist entry `" << entry.pattern << "  " << entry.token
+        << "` covers no finding in the scanned tree; delete it\n";
+  }
   std::size_t bad = 0;
   for (const Finding& f : findings) {
     if (f.allowed) continue;

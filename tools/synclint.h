@@ -7,7 +7,7 @@
 // directly - a bare std::mutex is invisible to both. synclint scans the
 // source tree for raw-primitive tokens and fails unless each occurrence is
 // covered by an allowlist entry that names the file, the token, and the
-// reason the exemption is sound.
+// reason the exemption is sound - and unless every entry still covers one.
 //
 // The scanner is textual, not a parser: it strips comments and string
 // literals, then matches whole identifiers. That is exactly the right
@@ -69,7 +69,15 @@ std::vector<Finding> scan_source(std::string_view path, std::string_view source,
 std::vector<Finding> scan_tree(const std::string& root,
                                const std::vector<AllowEntry>& allowlist);
 
-/// Render a human-readable report of disallowed findings (one line each).
-std::string report(const std::vector<Finding>& findings);
+/// Allowlist entries that cover none of `findings` (entry order aside). An
+/// entry whose file was deleted or cleaned up exempts nothing, so it no
+/// longer records a live exemption; the CLI fails on it.
+std::vector<AllowEntry> stale_entries(const std::vector<AllowEntry>& allowlist,
+                                      const std::vector<Finding>& findings);
+
+/// Render a human-readable report of disallowed findings and stale
+/// allowlist entries (one line each); empty when there are neither.
+std::string report(const std::vector<Finding>& findings,
+                   const std::vector<AllowEntry>& stale = {});
 
 }  // namespace olsq2::tools::synclint
