@@ -1,7 +1,6 @@
-// Cooperative-portfolio scaling study: wall-clock for the bundled QASM
-// benchmarks when the portfolio runs 1, 2, and 4 cooperating strategies on
-// one shared clause/bound-fact exchange, plus the exchange traffic that
-// paid for it. Emits BENCH_parallel.json (see --out) so runs are
+// Portfolio scaling study: wall-clock for the bundled QASM benchmarks when
+// the portfolio races 1, 2, and 4 independent strategies (paper §V). Emits
+// BENCH_parallel.json (see --out) so runs are
 // machine-comparable; `make bench_parallel_json` regenerates it.
 //
 // Usage: bench_parallel [--out=FILE] [--budget-ms=N] [--runs=N]
@@ -43,7 +42,6 @@ struct Sample {
   bool solved = false;
   int depth = -1;
   int swap_count = -1;
-  sat::ClauseExchange::Traffic traffic;  // from the median run's race
 };
 
 double median(std::vector<double> v) {
@@ -51,7 +49,7 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// First `count` cooperating strategies: cycle the default portfolio with
+/// First `count` racing strategies: cycle the default portfolio with
 /// distinct seeds when more entries are requested than it defines.
 std::vector<layout::PortfolioEntry> take_entries(layout::Objective objective,
                                                  int count, double budget_ms) {
@@ -93,10 +91,7 @@ void emit_json(const std::string& path, double budget_ms, int runs,
       }
       out << "],\"solved\":" << (sm.solved ? "true" : "false")
           << ",\"depth\":" << sm.depth << ",\"swap_count\":" << sm.swap_count
-          << ",\"clauses_published\":" << sm.traffic.published
-          << ",\"clauses_delivered\":" << sm.traffic.delivered
-          << ",\"bound_facts\":" << sm.traffic.bound_facts
-          << ",\"bound_pruned\":" << sm.traffic.bound_pruned << "}";
+          << "}";
     }
     out << "]}";
   }
@@ -135,8 +130,7 @@ int main(int argc, char** argv) {
                    layout::Objective::kDepth});
 
   const std::vector<int> thread_counts = {1, 2, 4};
-  bench::Table table(
-      {"benchmark", "entries", "median", "speedup", "shared", "pruned"});
+  bench::Table table({"benchmark", "entries", "median", "speedup"});
 
   std::vector<std::vector<Sample>> samples(cases.size());
   for (std::size_t c = 0; c < cases.size(); ++c) {
@@ -159,14 +153,11 @@ int main(int argc, char** argv) {
       sm.solved = last.best.solved;
       sm.depth = last.best.solved ? last.best.depth : -1;
       sm.swap_count = last.best.solved ? last.best.swap_count : -1;
-      sm.traffic = last.traffic;
       if (n == 1) base_ms = sm.median_ms;
       table.print_row(
           {cs.name, std::to_string(n),
            bench::fmt_ms(sm.median_ms, !sm.solved),
-           sm.median_ms > 0 ? bench::fmt_ratio(base_ms / sm.median_ms) : "-",
-           std::to_string(sm.traffic.delivered),
-           std::to_string(sm.traffic.bound_pruned)});
+           sm.median_ms > 0 ? bench::fmt_ratio(base_ms / sm.median_ms) : "-"});
       samples[c].push_back(std::move(sm));
     }
   }

@@ -1,8 +1,7 @@
 // Portfolio synthesis (paper §V future work): race several encoding +
 // restart configurations on one problem across threads; the first complete
-// optimum cancels the rest. The strategies cooperate while they race,
-// trading learnt clauses and proven objective-bound facts through a shared
-// ClauseExchange (see DESIGN.md §8).
+// optimum cancels the rest. The strategies share nothing but the cancel
+// flag (see DESIGN.md §8).
 //
 //   $ ./portfolio_race [num_qubits] [grid_side] [seed]
 #include <cstdlib>
@@ -52,11 +51,6 @@ int main(int argc, char** argv) {
               << (r.solved ? " depth " + std::to_string(r.depth) : "") << " ("
               << r.wall_ms << " ms)\n";
   }
-  const auto& t = result.traffic;
-  std::cout << "exchange: " << t.published << " clauses shared, "
-            << t.delivered << " delivered, " << t.bound_facts
-            << " bound facts, " << t.bound_pruned
-            << " SAT calls pruned\n";
   const bool ok = layout::verify(problem, result.best).ok;
   std::cout << "verifier: " << (ok ? "OK" : "INVALID") << "\n";
   return ok ? 0 : 1;

@@ -146,7 +146,7 @@ AuditResult audit_at_most_k(int num_vars,
                   result);
   }
 
-  // Every k+1-subset must be infeasible; sample windows deterministically.
+  // Every k+1-subset must be infeasible; sample windows reproducibly.
   if (k < n) {
     std::set<std::vector<int>> windows;
     std::vector<int> window;

@@ -24,7 +24,7 @@ namespace olsq2::analysis {
 
 /// Verify that no pair (a, b) can be simultaneously true in `solver`.
 /// When `max_pairs` > 0 and there are more obligations than that, the list
-/// is sampled with an even stride (deterministic); skipped obligations are
+/// is sampled with an even stride (reproducible); skipped obligations are
 /// counted in the result. Learnt clauses persist across checks, so later
 /// pairs are usually decided by unit propagation alone.
 AuditResult audit_mutual_exclusion(

@@ -16,7 +16,8 @@
 namespace olsq2::fuzz {
 
 /// Returns true when the candidate instance still exhibits the failure.
-/// Must be deterministic; the reducer calls it many times.
+/// Must give the same answer for the same instance; the reducer calls it
+/// many times.
 using FailurePredicate = std::function<bool(const Instance&)>;
 
 struct ReduceOptions {

@@ -69,13 +69,10 @@ std::string result_to_json(const Problem& problem, const Result& result) {
         << ",\"swap_bound\":" << call.swap_bound << ",\"status\":\""
         << (call.status == 'S'   ? "sat"
             : call.status == 'U' ? "unsat"
-            : call.status == 'P' ? "pruned"
                                  : "unknown")
         << "\",\"conflicts\":" << call.conflicts
         << ",\"propagations\":" << call.propagations
         << ",\"decisions\":" << call.decisions
-        << ",\"imported\":" << call.imported
-        << ",\"exported\":" << call.exported
         << ",\"wall_ms\":" << call.wall_ms << "}";
   }
   out << "]}";

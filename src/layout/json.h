@@ -33,7 +33,7 @@ std::string result_to_json(const Problem& problem, const Result& result);
 /// Serialize a result for the serve-layer cache: everything needed to
 /// reconstruct the Result struct, nothing tied to a live Problem (swaps are
 /// stored as device edge *indices*; the cache stores results against the
-/// canonical device, whose edge order is deterministic, so indices are
+/// canonical device, whose edge order is fixed, so indices are
 /// stable). Search diagnostics are reduced to the fields a cache hit can
 /// honestly report (original wall_ms / sat_calls / conflicts of the solve
 /// that produced the entry):

@@ -389,24 +389,6 @@ Lit Model::swap_bound(int s_b) {
   return swap_totalizer_->bound_leq(builder_, s_b);
 }
 
-std::string Model::prepare_shared_bounds(bool with_swap_totalizer) {
-  obs::Span span("olsq2.prepare_shared_bounds");
-  // Pin the constant-true literal first: out-of-range bound queries return
-  // it, and it must not be minted after the group key is fingerprinted.
-  builder_.true_lit();
-  for (int t_b = 1; t_b < t_ub_; ++t_b) depth_bound(t_b);
-  if (with_swap_totalizer) swap_bound(0);
-  std::string key = config_.label();
-  key += "@t";
-  key += std::to_string(t_ub_);
-  key += "#v";
-  key += std::to_string(solver_.num_vars());
-  key += "c";
-  key += std::to_string(solver_.num_clauses());
-  if (span.live()) span.arg("group", key);
-  return key;
-}
-
 void Model::assert_swap_bound_hard(int s_b, CardEncoding encoding) {
   switch (encoding) {
     case CardEncoding::kSeqCounter:

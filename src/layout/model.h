@@ -50,17 +50,6 @@ class Model {
   /// (sequential counter or adder network) - Table II configurations.
   void assert_swap_bound_hard(int s_b, CardEncoding encoding);
 
-  /// Eagerly materialize every lazily-created bound literal in a canonical
-  /// order: depth_bound(1..t_ub-1) ascending, then (optionally) the SWAP
-  /// totalizer. Afterwards the optimizer's bound requests create no new
-  /// variables, so two Models built from the same (problem, t_ub, config)
-  /// have bit-identical variable numbering regardless of which bounds their
-  /// searches visit - the precondition for sharing learnt clauses between
-  /// their solvers. Returns this model's sharing-group key (config label,
-  /// horizon, and variable/clause fingerprint); solvers whose keys differ
-  /// are never allowed to exchange clauses.
-  std::string prepare_shared_bounds(bool with_swap_totalizer);
-
   /// Decode the current model into a Result (call after a SAT answer).
   /// Swaps finishing at or after the final depth are dropped as inert.
   Result extract() const;

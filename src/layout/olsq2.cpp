@@ -8,7 +8,6 @@
 
 #include "layout/search.h"
 #include "obs/obs.h"
-#include "sat/exchange.h"
 
 namespace olsq2::layout {
 
@@ -19,25 +18,12 @@ int next_relaxed_bound(int t_b, const OptimizerOptions& options) {
   return std::max(t_b + 1, static_cast<int>(std::ceil(r * t_b)));
 }
 
-/// Build a Model wired for this optimizer run: the driver's solver setup
-/// plus, when sharing is on, the eager bound materialization and the
-/// clause-exchange registration.
+/// Build a Model configured by the driver's solver setup.
 std::unique_ptr<Model> make_configured_model(const Problem& problem, int t_ub,
                                              const EncodingConfig& config,
-                                             const OptimizerOptions& options,
-                                             const Search& search,
-                                             bool with_swaps) {
+                                             const Search& search) {
   auto model = std::make_unique<Model>(problem, t_ub, config);
   search.configure(model->solver());
-  if (options.exchange != nullptr) {
-    const std::string group = model->prepare_shared_bounds(with_swaps);
-    // Deterministic runs keep bound-fact sharing (it cannot change optima)
-    // but never adopt foreign clauses, whose arrival timing is
-    // scheduler-dependent.
-    if (!options.deterministic) {
-      model->solver().set_exchange(options.exchange, group);
-    }
-  }
   return model;
 }
 
@@ -51,15 +37,13 @@ struct DepthPhaseOutcome {
 DepthPhaseOutcome run_depth_phase(const Problem& problem,
                                   const EncodingConfig& config,
                                   const OptimizerOptions& options,
-                                  Search& search, bool with_swaps) {
+                                  Search& search) {
   obs::Span phase_span("olsq2.depth_phase");
   const circuit::DependencyGraph deps(*problem.circuit);
   const int t_lb = deps.longest_chain();
   int t_ub = deps.default_upper_bound();
-  sat::ClauseExchange* const facts = search.facts();
   auto rebuild = [&] {
-    return make_configured_model(problem, t_ub, config, options, search,
-                                 with_swaps);
+    return make_configured_model(problem, t_ub, config, search);
   };
 
   DepthPhaseOutcome out;
@@ -72,25 +56,11 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
   // Phase 1: geometric relaxation until the first satisfying bound.
   while (true) {
     if (search.expired()) return out;
-    if (facts != nullptr) {
-      // Shared facts: skip past bounds a portfolio peer already refuted,
-      // and never relax beyond a bound a peer already proved satisfiable.
-      const int refuted = facts->depth_unsat_max();
-      const int sat_cap = facts->depth_sat_min();
-      if (t_b <= refuted && t_b < t_ub) {
-        search.record_pruned(t_b, -1);
-        t_b = std::min({next_relaxed_bound(refuted, options), t_ub,
-                        std::max(sat_cap, t_lb)});
-        continue;
-      }
-      if (t_b > sat_cap && sat_cap >= t_lb && sat_cap < t_ub) t_b = sat_cap;
-    }
     const sat::LBool status =
         search.solve(model->solver(), {model->depth_bound(t_b)}, t_b, -1);
     if (status == sat::LBool::kUndef) return out;
     if (status == sat::LBool::kTrue) break;
     lower = std::max(lower, t_b);
-    if (facts != nullptr) facts->note_depth_unsat(std::min(t_b, t_ub));
     if (t_b >= t_ub) {
       // Even the unconstrained horizon is UNSAT: regenerate with a larger
       // T_UB (paper §III-B1).
@@ -103,26 +73,15 @@ DepthPhaseOutcome run_depth_phase(const Problem& problem,
   }
 
   out.best = model->extract();
-  if (facts != nullptr) facts->note_depth_sat(out.best.depth);
   // Phase 2: decrement to the first UNSAT.
   t_b = out.best.depth - 1;
   while (t_b > lower) {
     if (search.expired()) break;
-    if (facts != nullptr && t_b <= facts->depth_unsat_max()) {
-      // A peer already proved this bound (hence everything below it)
-      // unsatisfiable: the incumbent is optimal.
-      search.record_pruned(t_b, -1);
-      break;
-    }
     if (!options.incremental) model = rebuild();
     const sat::LBool status =
         search.solve(model->solver(), {model->depth_bound(t_b)}, t_b, -1);
-    if (status == sat::LBool::kFalse && facts != nullptr) {
-      facts->note_depth_unsat(t_b);
-    }
     if (status != sat::LBool::kTrue) break;
     out.best = model->extract();
-    if (facts != nullptr) facts->note_depth_sat(out.best.depth);
     t_b = out.best.depth - 1;
   }
   out.model = std::move(model);
@@ -137,9 +96,7 @@ Result synthesize_depth_optimal(const Problem& problem,
                                 const OptimizerOptions& options) {
   obs::Span span("olsq2.depth_optimal");
   Search search(SearchEngine::kTimeResolved, options);
-  Result result =
-      run_depth_phase(problem, config, options, search, /*with_swaps=*/false)
-          .best;
+  Result result = run_depth_phase(problem, config, options, search).best;
   search.finish(result);
   return result;
 }
@@ -150,7 +107,7 @@ Result synthesize_swap_optimal(const Problem& problem,
   obs::Span span("olsq2.swap_optimal");
   Search search(SearchEngine::kTimeResolved, options);
   DepthPhaseOutcome outcome =
-      run_depth_phase(problem, config, options, search, /*with_swaps=*/true);
+      run_depth_phase(problem, config, options, search);
   Result best = std::move(outcome.best);
   if (!best.solved) {
     search.finish(best);
@@ -180,8 +137,7 @@ Result synthesize_swap_optimal(const Problem& problem,
     depth_bound++;
     if (depth_bound >= model->t_ub()) {
       const int new_ub = static_cast<int>(std::ceil(1.5 * model->t_ub()));
-      rebuilt = make_configured_model(problem, new_ub, config, options, search,
-                                      /*with_swaps=*/true);
+      rebuilt = make_configured_model(problem, new_ub, config, search);
       model = rebuilt.get();
     }
   }

@@ -8,22 +8,16 @@
 //  encoding methods for cardinality constraints, as there does not appear
 //  to be a single best-in-class method with respect to solving time."
 //
-// Each entry runs on its own thread with its own Model/solver; when one
-// finishes, the others are interrupted through Solver::interrupt().
-//
-// The entries do not merely race: they cooperate through a shared
-// ClauseExchange. Strategies with identical encodings trade small learnt
-// clauses (sat/exchange.h), and every strategy publishes proven
-// objective-bound facts - an UNSAT certificate at depth d or SWAP count k
-// prunes the bound search of all peers via the monotone solution structure
-// of paper §III-B, regardless of encoding.
+// Each entry runs on its own thread with its own Model, solver and VSIDS
+// seed, and shares nothing with its peers but one cancel flag: the first
+// complete finisher sets it and the others unwind as if their budget ran
+// out.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "layout/types.h"
-#include "sat/exchange.h"
 
 namespace olsq2::layout {
 
@@ -43,8 +37,6 @@ struct PortfolioResult {
   /// Per-entry outcomes, in entry order (unfinished entries have
   /// solved=false; every entry records its wall_ms).
   std::vector<Result> all;
-  /// Clause/bound-fact exchange counters for the run.
-  sat::ClauseExchange::Traffic traffic;
 };
 
 /// Build a sensible default portfolio: the paper's fastest encodings plus
@@ -53,7 +45,7 @@ struct PortfolioResult {
 std::vector<PortfolioEntry> default_portfolio(Objective objective,
                                               const OptimizerOptions& base = {});
 
-/// Run all entries concurrently on one shared ClauseExchange; the first
+/// Run all entries concurrently, each on its own thread; the first
 /// complete finisher interrupts the rest, and the best answer among all
 /// entries that completed within that grace window is returned (objective
 /// value first, wall-clock as tie-break).

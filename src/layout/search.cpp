@@ -5,7 +5,6 @@
 #include "layout/model.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "sat/exchange.h"
 
 namespace olsq2::layout {
 
@@ -58,10 +57,7 @@ Lit primary_bound(TbModel& model, int blocks) {
 }  // namespace
 
 Search::Search(SearchEngine engine, const OptimizerOptions& options)
-    : engine_(engine),
-      options_(options),
-      facts_(engine == SearchEngine::kTimeResolved ? options.exchange
-                                                   : nullptr) {}
+    : engine_(engine), options_(options) {}
 
 double Search::elapsed_ms() const {
   return std::chrono::duration<double, std::milli>(Clock::now() - start_)
@@ -105,8 +101,6 @@ sat::LBool Search::solve(sat::Solver& solver,
   call.conflicts = delta.conflicts;
   call.propagations = delta.propagations;
   call.decisions = delta.decisions;
-  call.imported = delta.imported_clauses;
-  call.exported = delta.exported_clauses;
   call.wall_ms = elapsed_ms() - start_ms;
   if (span.live()) {
     span.arg(names.primary_arg, primary);
@@ -117,10 +111,6 @@ sat::LBool Search::solve(sat::Solver& solver,
     span.arg("conflicts", delta.conflicts);
     span.arg("propagations", delta.propagations);
     span.arg("wall_ms", call.wall_ms);
-    if (call.imported != 0 || call.exported != 0) {
-      span.arg("imported", call.imported);
-      span.arg("exported", call.exported);
-    }
   }
 
   diag_.sat_calls++;
@@ -133,24 +123,6 @@ sat::LBool Search::solve(sat::Solver& solver,
     metrics.calls.inc();
   }
   return status;
-}
-
-void Search::record_pruned(int primary, int swap_bound) {
-  SolveCall call;
-  call.depth_bound = primary;
-  call.swap_bound = swap_bound;
-  call.status = 'P';
-  diag_.calls.push_back(call);
-  if (facts_ != nullptr) facts_->note_pruned_call();
-  if (obs::Trace::instance().enabled()) obs::instant("olsq2.bound_pruned");
-  if (obs::metrics::enabled()) {
-    static obs::metrics::Counter& pruned =
-        obs::metrics::Registry::instance().counter(
-            "layout_pruned_probes_total",
-            "SAT calls skipped because a shared bound fact already decided "
-            "them");
-    pruned.inc();
-  }
 }
 
 void Search::finish(Result& result) {
@@ -171,20 +143,11 @@ int Search::descend_swaps(M& model, int primary, int lower, Result& best) {
   while (incumbent > lower) {
     if (expired()) break;
     const int target = incumbent - 1;
-    if (facts_ != nullptr && facts_->swap_known_unsat(primary, target)) {
-      // A peer proved (primary <= d, swaps <= k) empty; this query is a
-      // subset of that region.
-      record_pruned(primary, target);
-      break;
-    }
     const sat::LBool status =
         solve(model.solver(),
               {primary_bound(model, primary), model.swap_bound(target)},
               primary, target);
-    if (status == sat::LBool::kFalse) {
-      refuted = target;
-      if (facts_ != nullptr) facts_->note_swap_unsat(primary, target);
-    }
+    if (status == sat::LBool::kFalse) refuted = target;
     if (status != sat::LBool::kTrue) break;
     Result candidate = model.extract();
     if (candidate.swap_count < best.swap_count ||

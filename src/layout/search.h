@@ -8,7 +8,6 @@
 //   - solver setup (restart policy, cancel flag, VSIDS seed);
 //   - the one record of each SAT call: trace span, SolveCall, Result
 //     diagnostics and the per-engine metrics;
-//   - the record of a call skipped by a shared bound fact;
 //   - the SWAP descent at a fixed primary bound (depth or block count);
 //   - the TB block phase (smallest satisfiable block count).
 //
@@ -35,14 +34,11 @@ enum class SearchEngine { kTimeResolved, kTransitionBased, kWindowed };
 class Search {
  public:
   /// `options` supplies the budget and the solver settings configure()
-  /// applies. Only the time-resolved engine reads its bound-fact hub: TB
-  /// bounds count blocks, not the depth the hub's facts are keyed by.
+  /// applies.
   Search(SearchEngine engine, const OptimizerOptions& options);
 
   double elapsed_ms() const;
   bool expired() const;
-  /// Shared bound facts (null when none, and always for TB and windowed).
-  sat::ClauseExchange* facts() const { return facts_; }
   /// Some SAT call came back undecided (budget or cancellation).
   bool hit_budget() const { return diag_.hit_budget; }
 
@@ -53,9 +49,6 @@ class Search {
   /// (depth or block bound) and `swap_bound` of -1 mean "not assumed".
   sat::LBool solve(sat::Solver& solver, const std::vector<Lit>& assumptions,
                    int primary, int swap_bound);
-
-  /// Record a bound a shared fact already decided, without a SAT call.
-  void record_pruned(int primary, int swap_bound);
 
   /// Move the accumulated diagnostics into `result`; hit_budget is set when
   /// a call was undecided or the budget is gone.
@@ -73,7 +66,6 @@ class Search {
 
   SearchEngine engine_;
   OptimizerOptions options_;
-  sat::ClauseExchange* facts_;
   Clock::time_point start_ = Clock::now();
   Result diag_;
 };

@@ -36,13 +36,10 @@ struct SwapOp {
 struct SolveCall {
   int depth_bound = -1;  // assumed depth bound (block bound for TB); -1 none
   int swap_bound = -1;   // assumed SWAP bound; -1 none
-  char status = '?';     // 'S' = SAT, 'U' = UNSAT, '?' = budget expired,
-                         // 'P' = pruned by a shared bound fact (no SAT call)
+  char status = '?';     // 'S' = SAT, 'U' = UNSAT, '?' = budget expired
   std::uint64_t conflicts = 0;     // conflicts delta for this call
   std::uint64_t propagations = 0;  // propagations delta for this call
   std::uint64_t decisions = 0;     // decisions delta for this call
-  std::uint64_t imported = 0;      // clauses adopted from the exchange
-  std::uint64_t exported = 0;      // clauses shared with the exchange
   double wall_ms = 0.0;
 };
 
@@ -122,16 +119,6 @@ struct OptimizerOptions {
   /// VSIDS tie-breaking jitter seed (0 = none). Distinct seeds diversify
   /// portfolio entries; a fixed seed reproduces a run exactly.
   std::uint64_t seed = 0;
-  /// Reproducibility mode: the solver never adopts foreign clauses (their
-  /// arrival timing is scheduler-dependent), removing run-to-run
-  /// nondeterminism in the search. Bound facts still flow - they can only
-  /// skip SAT calls whose answer is already proven, never change optima.
-  bool deterministic = false;
-  /// Cooperative sharing hub (learnt clauses + objective-bound facts)
-  /// connecting the strategies of one portfolio race. Owned by the caller;
-  /// nullptr = no sharing. synthesize_portfolio installs one per race;
-  /// serve::Server clears it, so served requests never share.
-  sat::ClauseExchange* exchange = nullptr;
 };
 
 }  // namespace olsq2::layout

@@ -211,7 +211,7 @@ class Registry {
 std::size_t peak_rss_bytes();
 
 /// 8-hex-char FNV-1a digest — bounded-cardinality label values for
-/// unbounded strings (exchange group fingerprints, cache keys).
+/// unbounded strings (e.g. cache keys).
 std::string short_hash(std::string_view s);
 
 }  // namespace olsq2::obs::metrics

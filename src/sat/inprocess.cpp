@@ -84,8 +84,6 @@ bool Solver::inprocess() {
   if (!ok_) return false;
   obs::Span span("sat.inprocess");
   cancel_until(0);
-  // Pending export spans would dangle across rewrites; hand them off first.
-  flush_pending_exports();
   if (propagate() != kCRefUndef) {
     ok_ = false;
     if (proof_ != nullptr) proof_->add({});
@@ -116,19 +114,22 @@ bool Solver::inprocess() {
     hist[1] = &subsume_ms;
     hist[2] = &vivify_ms;
   }
-  using PassFn = bool (Solver::*)(std::uint64_t&);
-  constexpr PassFn kPasses[3] = {&Solver::inprocess_equiv,
-                                 &Solver::inprocess_subsume,
-                                 &Solver::inprocess_vivify};
-  for (int p = 0; p < 3 && ok_ && ticks > 0; ++p) {
+  // The passes run in this order while the formula is open and budget
+  // remains. Direct calls: an indexed pointer-to-member table here tripped
+  // UBSan's bounds check under GCC 12 (a bogus out-of-range index).
+  const auto timed = [&](m::Histogram* histogram, auto&& pass) {
+    if (!ok_ || ticks == 0) return;
     const auto t0 = std::chrono::steady_clock::now();
-    (this->*kPasses[p])(ticks);
-    if (hist[p] != nullptr) {
-      hist[p]->observe(std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count());
+    pass();
+    if (histogram != nullptr) {
+      histogram->observe(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
     }
-  }
+  };
+  timed(hist[0], [&] { inprocess_equiv(ticks); });
+  timed(hist[1], [&] { inprocess_subsume(ticks); });
+  timed(hist[2], [&] { inprocess_vivify(ticks); });
   maybe_collect_garbage();
   audit_invariants("inprocess");
   if (span.live()) {

@@ -8,7 +8,6 @@
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "sat/exchange.h"
 #include "sat/luby.h"
 
 namespace olsq2::sat {
@@ -372,13 +371,6 @@ Lit Solver::pick_branch_lit() {
 
 void Solver::set_polarity(Var v, bool value) { polarity_[v] = value; }
 
-void Solver::set_exchange(ClauseExchange* exchange, const std::string& group) {
-  flush_pending_exports();  // drain to the previous hub before switching
-  exchange_ = exchange;
-  exchange_id_ = exchange == nullptr ? -1 : exchange->add_solver(group);
-  exchange_seen_ = 0;
-}
-
 void Solver::set_vsids_seed(std::uint64_t seed) {
   if (seed == 0) return;
   for (Var v = 0; v < num_vars(); ++v) {
@@ -391,94 +383,6 @@ void Solver::set_vsids_seed(std::uint64_t seed) {
     activity_[v] += static_cast<double>(z % 1000003) * 1e-12;
   }
   order_heap_.rebuild();
-}
-
-void Solver::export_learnt(std::span<const Lit> lits, unsigned lbd) {
-  if (exchange_ == nullptr || lits.empty()) return;
-  if (exchange_->publish(exchange_id_, lits, lbd)) {
-    stats_.exported_clauses++;
-  } else {
-    stats_.filtered_exports++;
-  }
-}
-
-void Solver::flush_pending_exports() {
-  if (pending_exports_.empty()) return;
-  if (exchange_ == nullptr) {
-    pending_exports_.clear();
-    return;
-  }
-  // One hub lock for the whole batch instead of one per learnt clause; the
-  // spans point straight into the arena, so this must run before anything
-  // deletes or relocates clauses (reduce_db, inprocessing, GC all flush
-  // first by contract).
-  std::vector<ClauseExchange::ExportItem> items;
-  items.reserve(pending_exports_.size());
-  for (const CRef cr : pending_exports_) {
-    const ClauseData& c = arena_[cr];
-    items.push_back({c.literals(), c.lbd()});
-  }
-  const std::size_t accepted = exchange_->publish_batch(exchange_id_, items);
-  stats_.exported_clauses += accepted;
-  stats_.filtered_exports += items.size() - accepted;
-  pending_exports_.clear();
-}
-
-void Solver::import_clause(std::span<const Lit> lits, unsigned lbd) {
-  // Runs at decision level 0. Mirrors add_clause's normalization, but the
-  // result is stored as a learnt clause (evictable by reduce_db) and is
-  // never proof-logged - import is disabled while a proof is attached.
-  assert(decision_level() == 0);
-  import_scratch_.assign(lits.begin(), lits.end());
-  auto& c = import_scratch_;
-  std::sort(c.begin(), c.end());
-  std::size_t out = 0;
-  Lit prev = kUndefLit;
-  for (const Lit l : c) {
-    if (l.var() < 0 || l.var() >= num_vars()) return;  // foreign numbering
-    if (value(l) == LBool::kTrue || l == ~prev) return;  // satisfied / taut
-    if (value(l) == LBool::kFalse || l == prev) continue;
-    c[out++] = l;
-    prev = l;
-  }
-  c.resize(out);
-  if (c.empty()) {
-    ok_ = false;
-    return;
-  }
-  stats_.imported_clauses++;
-  if (c.size() == 1) {
-    enqueue(c[0], kCRefUndef);  // propagated by the caller
-    return;
-  }
-  const unsigned clamped = std::max(1u, std::min(lbd, static_cast<unsigned>(c.size())));
-  const Tier tier = tier_for_lbd(clamped);
-  const CRef cr = arena_.alloc(c, /*learnt=*/true, clamped, tier);
-  arena_[cr].set_used(2);
-  attach(cr);
-  tier_list(tier).push_back(cr);
-  if (c.size() == 2) stats_.binary_clauses++;
-}
-
-bool Solver::import_shared() {
-  if (exchange_ == nullptr || proof_ != nullptr || !ok_) return ok_;
-  if (decision_level() != 0) return ok_;
-  // Generation-stamped fast path: no lock taken while nothing new exists.
-  const std::uint64_t frontier = exchange_->frontier();
-  if (frontier == exchange_seen_) return ok_;
-  exchange_seen_ = frontier;
-  obs::Span span("sat.exchange_import");
-  const std::uint64_t before = stats_.imported_clauses;
-  exchange_->collect(exchange_id_,
-                     [this](std::span<const Lit> lits, unsigned lbd) {
-                       if (ok_) import_clause(lits, lbd);
-                     });
-  if (ok_ && propagate() != kCRefUndef) ok_ = false;  // imported units conflict
-  if (span.live()) {
-    span.arg("imported", stats_.imported_clauses - before);
-  }
-  audit_invariants("exchange-import");
-  return ok_;
 }
 
 void Solver::analyze_final(Lit failed_assumption) {
@@ -592,7 +496,6 @@ LBool Solver::search(std::int64_t conflicts_before_restart) {
       note_learnt_lbd(lbd);
       if (proof_ != nullptr) proof_->add(learnt);
       if (learnt.size() == 1) {
-        export_learnt(learnt, lbd);  // units are too valuable to batch
         enqueue(learnt[0], kCRefUndef);
       } else {
         const Tier tier = tier_for_lbd(lbd);
@@ -602,7 +505,6 @@ LBool Solver::search(std::int64_t conflicts_before_restart) {
         tier_list(tier).push_back(cr);
         clause_bump(arena_[cr]);
         enqueue(learnt[0], cr);
-        if (exchange_ != nullptr) pending_exports_.push_back(cr);
         stats_.learnt_clauses++;
         stats_.learnt_literals += learnt.size();
         if (learnt.size() == 2) stats_.binary_clauses++;
@@ -610,7 +512,6 @@ LBool Solver::search(std::int64_t conflicts_before_restart) {
       var_decay();
       clause_decay();
       if ((conflict_count & 0xFF) == 0) {
-        flush_pending_exports();
         if (progress_cb_ && stats_.conflicts >= next_progress_conflicts_) {
           progress_cb_(stats_);
           next_progress_conflicts_ = stats_.conflicts + progress_interval_;
@@ -630,7 +531,6 @@ LBool Solver::search(std::int64_t conflicts_before_restart) {
         if (trace_live_) obs::instant("sat.restart");
         reset_recent_lbds();
         cancel_until(0);
-        flush_pending_exports();
         audit_invariants("restart");
         return LBool::kUndef;
       }
@@ -684,7 +584,6 @@ void Solver::drop_clause(CRef cr) {
 
 void Solver::reduce_db() {
   obs::Span span("sat.reduce_db");
-  flush_pending_exports();  // exported spans must not point at freed clauses
   const std::size_t before = static_cast<std::size_t>(num_learnts());
   const auto locked = [this](CRef cr, const ClauseData& c) {
     return reasons_[c[0].var()] == cr && value(c[0]) == LBool::kTrue;
@@ -809,7 +708,6 @@ void Solver::relocate_all(ClauseArena& to) {
   for (auto* tier : {&learnts_core_, &learnts_tier2_, &learnts_local_}) {
     for (CRef& cr : *tier) arena_.reloc(cr, to);
   }
-  for (CRef& cr : pending_exports_) arena_.reloc(cr, to);
 }
 
 void Solver::garbage_collect() {
@@ -893,12 +791,6 @@ LBool Solver::solve(std::span<const Lit> assumptions) {
   std::uint64_t restart_round = 0;
   while (status == LBool::kUndef) {
     if (budget_exhausted()) break;
-    // Restart boundary (and solve entry): adopt clauses learnt by portfolio
-    // peers. The trail is at level 0 here, so watches attach cleanly.
-    if (!import_shared()) {
-      status = LBool::kFalse;
-      break;
-    }
     // Inter-restart inprocessing on a growing conflict interval.
     if (inprocess_enabled_ && stats_.conflicts >= next_inprocess_conflicts_) {
       if (!inprocess()) {
@@ -927,7 +819,6 @@ LBool Solver::solve(std::span<const Lit> assumptions) {
     restart_round++;
   }
   cancel_until(0);
-  flush_pending_exports();
   assumptions_.clear();
   audit_invariants("solve-exit");
   const Stats delta = stats_ - before;
@@ -1008,10 +899,6 @@ LBool Solver::solve(std::span<const Lit> assumptions) {
     span.arg("propagate_ms", static_cast<double>(propagate_ns_) / 1e6);
     if (delta.inprocess_rounds > 0) {
       span.arg("inprocess_rounds", delta.inprocess_rounds);
-    }
-    if (exchange_ != nullptr) {
-      span.arg("exported", delta.exported_clauses);
-      span.arg("imported", delta.imported_clauses);
     }
   }
   trace_live_ = false;

@@ -32,8 +32,6 @@
 
 namespace olsq2::sat {
 
-class ClauseExchange;
-
 class Solver {
  public:
   Solver();
@@ -96,16 +94,6 @@ class Solver {
   /// cf. the paper's future-work discussion on heuristic guidance).
   void set_polarity(Var v, bool value);
 
-  /// Attach this solver to a cooperative clause exchange under sharing
-  /// group `group` (see ClauseExchange for the group contract: identical
-  /// CNF variable numbering). Learnt clauses passing the hub's filter are
-  /// exported in batches at the search loop's bookkeeping cadence (unit
-  /// learnts immediately); foreign clauses are imported at restart
-  /// boundaries (quiescent, decision level 0, watches rebuilt correctly).
-  /// Pass nullptr to detach. Import is disabled while a DRAT proof is
-  /// attached - foreign clauses are not derivable in this solver's proof.
-  void set_exchange(ClauseExchange* exchange, const std::string& group = "");
-
   /// Deterministically jitter VSIDS activities (splitmix64 keyed by
   /// `seed`), diversifying decision tie-breaking per portfolio entry while
   /// staying reproducible run-to-run. Applies to variables that exist now;
@@ -139,8 +127,7 @@ class Solver {
   MemoryStats memory_stats() const;
 
   /// Compact the clause arena now: copies every live clause into a fresh
-  /// arena and rewrites all watcher, reason, tier-list, and pending-export
-  /// references. Runs automatically when enough dead weight accumulates
+  /// arena and rewrites all watcher, reason and tier-list references. Runs automatically when enough dead weight accumulates
   /// (deleted learnts, strengthened literals); public for tests and for
   /// embedders that want memory back at a known-quiescent point.
   void garbage_collect();
@@ -277,17 +264,6 @@ class Solver {
   void reset_recent_lbds();
   bool glucose_restart_due() const;
   void analyze_final(Lit failed_assumption);
-  /// Export a clause to the exchange immediately (units; no-op detached).
-  void export_learnt(std::span<const Lit> lits, unsigned lbd);
-  /// Hand the batched pending learnts to the exchange under one hub lock.
-  /// Must run before any operation that deletes or relocates clauses.
-  void flush_pending_exports();
-  /// Adopt foreign clauses from the exchange. Must be called at decision
-  /// level 0. Returns false when an imported unit closes the formula
-  /// (ok_ flips to false).
-  bool import_shared();
-  /// Add one foreign clause at root level with watch/level handling.
-  void import_clause(std::span<const Lit> lits, unsigned lbd);
   /// GC helper: rewrite every live reference into `to`.
   void relocate_all(ClauseArena& to);
   void maybe_collect_garbage() {
@@ -401,15 +377,6 @@ class Solver {
 
   std::atomic<bool> interrupted_{false};
   const std::atomic<bool>* external_interrupt_ = nullptr;
-
-  // Cooperative clause sharing (portfolio solving).
-  ClauseExchange* exchange_ = nullptr;
-  int exchange_id_ = -1;
-  std::uint64_t exchange_seen_ = 0;  // hub generation stamp at last import
-  std::vector<Lit> import_scratch_;
-  /// Learnts awaiting batched export; refs into the arena, relocated by GC
-  /// and flushed before any clause deletion.
-  std::vector<CRef> pending_exports_;
 
   std::vector<Lit> assumptions_;
   std::vector<LBool> model_;

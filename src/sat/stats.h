@@ -40,9 +40,6 @@ struct Stats {
   std::uint64_t binary_clauses = 0;    // size-2 clauses added (original + learnt)
   std::uint64_t max_decision_level = 0;  // high-water mark, not monotone-delta
   std::uint64_t assumption_lits = 0;   // assumption literals across solve calls
-  std::uint64_t exported_clauses = 0;  // learnts accepted by the clause exchange
-  std::uint64_t imported_clauses = 0;  // foreign learnts adopted from the exchange
-  std::uint64_t filtered_exports = 0;  // learnts rejected by the exchange filter
   std::uint64_t arena_gcs = 0;         // clause-arena compactions
   std::uint64_t inprocess_rounds = 0;  // inprocessing rounds completed
   std::uint64_t inprocess_strengthened_lits = 0;  // literals dropped (vivify+SSR)
@@ -66,9 +63,6 @@ struct Stats {
     d.binary_clauses = binary_clauses - rhs.binary_clauses;
     d.max_decision_level = max_decision_level;
     d.assumption_lits = assumption_lits - rhs.assumption_lits;
-    d.exported_clauses = exported_clauses - rhs.exported_clauses;
-    d.imported_clauses = imported_clauses - rhs.imported_clauses;
-    d.filtered_exports = filtered_exports - rhs.filtered_exports;
     d.arena_gcs = arena_gcs - rhs.arena_gcs;
     d.inprocess_rounds = inprocess_rounds - rhs.inprocess_rounds;
     d.inprocess_strengthened_lits =

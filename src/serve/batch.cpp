@@ -50,9 +50,6 @@ layout::Result run_engine(Engine engine, const layout::Problem& problem,
                           const layout::EncodingConfig& config,
                           layout::OptimizerOptions options,
                           subarch::SubarchOptions subarch_options) {
-  // Each solve runs alone: a caller-supplied hub could carry bound facts
-  // from another problem into this search.
-  options.exchange = nullptr;
   // Transparent subarchitecture pre-pass for the engines whose SWAP
   // optima are reduction-invariant (certified ladder + lift; any failure
   // inside the wrappers degrades to the direct engine below). The

@@ -50,8 +50,7 @@ struct Request {
   int swap_duration = 1;
   Engine engine = Engine::kSwap;
   layout::EncodingConfig config;
-  /// Per-request optimizer options; the server clears the `exchange`
-  /// field, so a caller-supplied hub is never consulted.
+  /// Per-request optimizer options.
   layout::OptimizerOptions options;
   /// Additionally produce (and cache) an optimality certificate: a DRAT-
   /// checked UNSAT proof at the next-tighter bound (layout/certify.h).

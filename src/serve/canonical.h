@@ -27,7 +27,7 @@
 // taking the lexicographically smallest serialized leaf. The search is
 // invariant under relabeling because every member of an ambiguous class is
 // tried; a node budget guards the (symmetric-instance) worst case, falling
-// back to an index tiebreak that is deterministic but labeling-dependent
+// back to an index tiebreak that is reproducible but labeling-dependent
 // (`exact` reports which path produced the form).
 #pragma once
 
@@ -47,7 +47,7 @@ struct DeviceCanon {
   std::string key;
   /// True when the individualization search ran to completion (the form is
   /// invariant under relabeling); false when the node budget forced an
-  /// index tiebreak (still deterministic and sound, but two relabelings of
+  /// index tiebreak (still reproducible and sound, but two relabelings of
   /// one graph may land on different keys).
   bool exact = true;
 };

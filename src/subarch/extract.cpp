@@ -326,39 +326,4 @@ SubDevice make_subdevice(const device::Device& dev,
   return sd;
 }
 
-SubDevice greedy_region(const device::Device& dev, int m) {
-  m = std::min(m, dev.num_qubits());
-  int seed = 0;
-  for (int p = 1; p < dev.num_qubits(); ++p) {
-    if (dev.neighbors(p).size() > dev.neighbors(seed).size()) seed = p;
-  }
-  std::vector<char> in(dev.num_qubits(), 0);
-  std::vector<int> verts{seed};
-  in[seed] = 1;
-  while (static_cast<int>(verts.size()) < m) {
-    int best = -1;
-    int best_gain = -1;
-    for (const int v : verts) {
-      for (const int u : dev.neighbors(v)) {
-        if (in[u]) continue;
-        int gain = 0;
-        for (const int w : dev.neighbors(u)) gain += in[w] ? 1 : 0;
-        // Tie-break on degree then index for determinism.
-        if (gain > best_gain ||
-            (gain == best_gain && best >= 0 &&
-             (dev.neighbors(u).size() > dev.neighbors(best).size() ||
-              (dev.neighbors(u).size() == dev.neighbors(best).size() &&
-               u < best)))) {
-          best = u;
-          best_gain = gain;
-        }
-      }
-    }
-    if (best < 0) break;  // disconnected device: region cannot grow
-    in[best] = 1;
-    verts.push_back(best);
-  }
-  return make_subdevice(dev, std::move(verts));
-}
-
 }  // namespace olsq2::subarch

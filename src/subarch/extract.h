@@ -85,9 +85,4 @@ bool interaction_connected(const circuit::Circuit& circuit);
 SubDevice make_subdevice(const device::Device& dev,
                          std::vector<int> vertices);
 
-/// Heuristic connected m-vertex region, with no certificate behind it:
-/// greedy growth from a max-degree seed, each step adding the frontier
-/// vertex that gains the most induced edges. Deterministic.
-SubDevice greedy_region(const device::Device& dev, int m);
-
 }  // namespace olsq2::subarch

@@ -74,7 +74,7 @@ namespace olsq2::sync {
 namespace lo = ::olsq2::analysis::concurrency;
 
 /// std::mutex with a capability attribute and a lock-order rank name.
-/// Name instances after their subsystem ("sat.exchange.hub"); same-named
+/// Name instances after their subsystem ("serve.cache"); same-named
 /// locks share a rank, so nesting two of them is itself an order violation.
 class OLSQ2_CAPABILITY("mutex") Mutex {
  public:

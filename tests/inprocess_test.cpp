@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sat/drat_check.h"
-#include "sat/exchange.h"
 #include "sat/proof.h"
 #include "sat/solver.h"
 
@@ -212,32 +211,40 @@ TEST(InprocessTest, DisabledBySetterMeansNoRounds) {
 }
 
 TEST(InprocessTest, LearntSubsumerOfOriginalIsPromoted) {
-  // A learnt clause (implanted through the exchange with a high LBD, so it
-  // lands in the evictable local tier) subsumes an original outright. The
-  // subsumer must be promoted to irredundant when the original is deleted:
-  // were it left learnt, a later reduce_db() could evict it and the solver
-  // could return models violating the deleted original.
-  ClauseExchange::Options opts;
-  opts.max_lbd = 10;
-  ClauseExchange hub(opts);
-  const int feeder = hub.add_solver("g");
+  // A learnt clause with a high LBD, so it lands in the evictable local
+  // tier, subsumes an original outright. The subsumer must be promoted to
+  // irredundant when the original is deleted: were it left learnt, a later
+  // reduce_db() could evict it and the solver could return models
+  // violating the deleted original.
+  //
+  // Originals: wide = (x0..x7 | x8), (x7 | z) and (~x8 | ~z). Assuming
+  // ~x0..~x7 puts each on its own decision level; wide then forces x8 and
+  // (x7 | z) forces z, which conflict. Both implications stem from ~x7, so
+  // the first UIP is that decision and the learnt clause is exactly
+  // sub = (x0..x7) with LBD 8, whatever the decision heuristic. No pair of
+  // originals resolves to sub, so only the learnt can subsume wide.
   Solver solver;
   solver.set_clause_log(true);
-  solver.set_exchange(&hub, "g");
-  for (int i = 0; i < 9; ++i) solver.new_var();
-  std::vector<Lit> wide;
-  for (int i = 0; i < 9; ++i) wide.push_back(pos(i));
+  for (int i = 0; i < 10; ++i) solver.new_var();
+  const Lit x7 = pos(7), x8 = pos(8), z = pos(9);
+  std::vector<Lit> sub;
+  for (int i = 0; i < 8; ++i) sub.push_back(pos(i));
+  std::vector<Lit> wide = sub;
+  wide.push_back(x8);
   solver.add_clause(wide);
-  const std::vector<Lit> sub(wide.begin(), wide.end() - 1);
-  ASSERT_TRUE(hub.publish(feeder, sub, /*lbd=*/8));
+  solver.add_clause({x7, z});
+  solver.add_clause({~x8, ~z});
+  std::vector<Lit> refute;
+  for (const Lit l : sub) refute.push_back(~l);
 
-  ASSERT_EQ(solver.solve(), LBool::kTrue);  // imports the learnt at entry
+  ASSERT_EQ(solver.solve(refute), LBool::kFalse);
+  ASSERT_EQ(solver.num_learnts(), 1);
   ASSERT_EQ(solver.learnt_tiers().local, 1u);
 
   ASSERT_TRUE(solver.inprocess());
   EXPECT_GE(solver.stats().inprocess_removed_clauses, 1u);
-  // The subsumer replaced the original: it is irredundant now, not learnt.
-  EXPECT_EQ(solver.num_clauses(), 1);
+  // The subsumer replaced wide: it is irredundant now, not learnt.
+  EXPECT_EQ(solver.num_clauses(), 3);
   EXPECT_EQ(solver.num_learnts(), 0);
   std::vector<std::string> errors;
   EXPECT_TRUE(solver.check_invariants(&errors))

@@ -177,17 +177,17 @@ TEST_F(LockOrderTest, SharedMutexParticipates) {
 
 TEST_F(LockOrderTest, ContractLocksComposeAcrossRealSubsystems) {
   // The production ranks must still be acyclic when exercised in the
-  // documented hierarchy order (DESIGN.md §11): sat.exchange.hub ->
+  // documented hierarchy order (DESIGN.md §11): subarch.library ->
   // obs.metrics.registry, serve.cache -> obs.trace and serve.cache ->
   // obs.metrics.registry. Reproduced here with same-named test mutexes;
-  // the real wiring is covered end-to-end by the serve/portfolio suites
+  // the real wiring is covered end-to-end by the serve/subarch suites
   // running under OLSQ2_LOCK_ORDER in CI.
-  Mutex hub("sat.exchange.hub");
+  Mutex library("subarch.library");
   Mutex cache("serve.cache");
   Mutex trace("obs.trace");
   Mutex registry("obs.metrics.registry");
   {
-    MutexLock l1(hub);
+    MutexLock l1(library);
     MutexLock l2(registry);
   }
   {

@@ -1,7 +1,6 @@
 // MUST NOT COMPILE under -Wthread-safety -Werror=thread-safety:
 // calls an OLSQ2_REQUIRES method without holding the mutex it names
-// (mirrors ClauseExchange::metrics_for, which only group-locked paths may
-// call).
+// (mirrors ResultCache::touch, which only cache-locked paths may call).
 #include "util/sync.h"
 
 namespace {

@@ -1,5 +1,5 @@
-// Tests for portfolio (parallel) synthesis: the cooperative race with
-// clause/bound-fact sharing and deterministic mode.
+// Tests for portfolio (parallel) synthesis: the race of independent
+// strategies (paper §V) and its agreement with the sequential engines.
 #include <gtest/gtest.h>
 
 #include "bengen/workloads.h"
@@ -84,7 +84,7 @@ TEST(Portfolio, TinyBudgetReportsBestPartial) {
   }
 }
 
-TEST(Portfolio, RecordsPerEntryWallClockAndTraffic) {
+TEST(Portfolio, RecordsPerEntryWallClock) {
   const auto c = bengen::qaoa_3regular(6, 2);
   const auto dev = device::grid(2, 3);
   const Problem problem{&c, &dev, 1};
@@ -92,14 +92,36 @@ TEST(Portfolio, RecordsPerEntryWallClockAndTraffic) {
       problem, Objective::kSwap, default_portfolio(Objective::kSwap));
   ASSERT_TRUE(r.best.solved);
   for (const Result& entry : r.all) EXPECT_GT(entry.wall_ms, 0.0);
-  // Every strategy publishes at least its first SAT/UNSAT depth bound.
-  EXPECT_GT(r.traffic.bound_facts, 0u);
 }
 
-// Differential: the cooperating portfolio must land on exactly the optima
-// the sequential optimizer proves, on real QASM inputs (clause import and
-// bound-fact pruning must never change answers).
-TEST(Portfolio, SharingMatchesSequentialOnQasmCorpusDepth) {
+// A race of one is the sequential engine: the entry gets its own model and
+// solver and shares nothing, so it issues exactly the SAT calls
+// synthesize_depth_optimal issues with the same options.
+TEST(Portfolio, SingleEntryRunsLikeTheSequentialEngine) {
+  const auto c = bengen::qaoa_3regular(6, 4);
+  const auto dev = device::grid(2, 3);
+  const Problem problem{&c, &dev, 1};
+  std::vector<PortfolioEntry> entries = default_portfolio(Objective::kDepth);
+  entries.resize(1);
+  const Result sequential = synthesize_depth_optimal(
+      problem, entries[0].config, entries[0].options);
+  ASSERT_TRUE(sequential.solved);
+  const PortfolioResult portfolio =
+      synthesize_portfolio(problem, Objective::kDepth, entries);
+  ASSERT_EQ(portfolio.winner, 0);
+  const Result& raced = portfolio.best;
+  EXPECT_EQ(raced.depth, sequential.depth);
+  ASSERT_EQ(raced.calls.size(), sequential.calls.size());
+  for (std::size_t i = 0; i < raced.calls.size(); ++i) {
+    EXPECT_EQ(raced.calls[i].depth_bound, sequential.calls[i].depth_bound) << i;
+    EXPECT_EQ(raced.calls[i].status, sequential.calls[i].status) << i;
+    EXPECT_EQ(raced.calls[i].conflicts, sequential.calls[i].conflicts) << i;
+  }
+}
+
+// Differential: the portfolio must land on exactly the optima the
+// sequential optimizer proves, on real QASM inputs.
+TEST(Portfolio, MatchesSequentialOnQasmCorpusDepth) {
   const auto c = qasm::parse_file(corpus("toffoli_qx2.qasm"));
   const auto dev = device::ibm_qx2();
   const Problem problem{&c, &dev, 3};
@@ -112,7 +134,7 @@ TEST(Portfolio, SharingMatchesSequentialOnQasmCorpusDepth) {
   EXPECT_TRUE(verify(problem, portfolio.best).ok);
 }
 
-TEST(Portfolio, SharingMatchesSequentialOnQasmCorpusSwap) {
+TEST(Portfolio, MatchesSequentialOnQasmCorpusSwap) {
   const auto c = qasm::parse_file(corpus("qaoa_triangle.qasm"));
   const auto dev = device::grid(1, 4);
   const Problem problem{&c, &dev, 2};
@@ -125,15 +147,13 @@ TEST(Portfolio, SharingMatchesSequentialOnQasmCorpusSwap) {
   EXPECT_TRUE(verify(problem, portfolio.best).ok);
 }
 
-// Deterministic mode: clause import is disabled (its timing depends on the
-// scheduler) but bound-fact sharing stays on; optima are identical across
-// repeated runs.
-TEST(Portfolio, DeterministicModeReproducesOptima) {
+// Seeded races reproduce their optima across repeated runs, whichever
+// entry wins each time.
+TEST(Portfolio, SeededRacesReproduceOptima) {
   const auto c = bengen::qaoa_3regular(6, 3);
   const auto dev = device::grid(2, 3);
   const Problem problem{&c, &dev, 1};
   OptimizerOptions base;
-  base.deterministic = true;
   base.seed = 7;
   int depth = -1;
   for (int run = 0; run < 3; ++run) {

@@ -1,15 +1,12 @@
-// Stateful-reuse regression tests: components that the serve layer (and the
-// portfolio) call repeatedly on different problems must either fully reset
-// their internal state per call or namespace it per problem.
+// Stateful-reuse regression tests: components that the serve layer calls
+// repeatedly on different problems must either fully reset their internal
+// state per call or namespace it per problem.
 //
 //   sat::Preprocessor::run   - must clear output/eliminations/stats so a
 //     second run is byte-identical to a fresh object's run.
 //   layout::Model            - repeated bound requests must be cached (no
 //     new solver variables) and repeated solves under the same assumptions
 //     must reproduce the same verdict and objectives.
-//   serve::Server            - every solve runs alone: a hub the caller
-//     passes in Request::options is never consulted, so a stale bound fact
-//     from another problem cannot corrupt the served optimum.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,12 +15,8 @@
 #include "circuit/circuit.h"
 #include "device/presets.h"
 #include "layout/model.h"
-#include "layout/olsq2.h"
-#include "layout/verifier.h"
-#include "sat/exchange.h"
 #include "sat/preprocess.h"
 #include "sat/types.h"
-#include "serve/batch.h"
 
 namespace olsq2 {
 namespace {
@@ -140,55 +133,6 @@ TEST(ModelReuse, BoundRequestsAreIdempotentAndSolvesDeterministic) {
   EXPECT_EQ(r2.depth, r1.depth);
   EXPECT_EQ(r2.swap_count, r1.swap_count);
   EXPECT_EQ(model.solver().num_vars(), vars_after_first);
-}
-
-// A hub poisoned with facts that are false for this problem - as if left
-// over from another one - rides in on the request's options. The server
-// must ignore it: the served optima are the true ones and the hub is never
-// read or written.
-TEST(ExchangeReuse, StaleFactsCannotCorruptTheNextProblemsOptimum) {
-  const auto circ = triangle();
-  const auto dev = device::grid(1, 3);
-  const layout::Problem problem{&circ, &dev, 1};
-
-  const layout::Result depth_baseline =
-      layout::synthesize_depth_optimal(problem);
-  const layout::Result swap_baseline =
-      layout::synthesize_swap_optimal(problem);
-  ASSERT_TRUE(depth_baseline.solved);
-  ASSERT_TRUE(swap_baseline.solved);
-  ASSERT_GE(swap_baseline.swap_count, 1);
-
-  sat::ClauseExchange hub;
-  hub.note_depth_unsat(depth_baseline.depth + 3);
-  hub.note_swap_unsat(depth_baseline.depth + 3, swap_baseline.swap_count);
-  const sat::ClauseExchange::Traffic poisoned = hub.traffic();
-
-  serve::Server server;
-  for (const serve::Engine engine : {serve::Engine::kDepth,
-                                     serve::Engine::kSwap}) {
-    SCOPED_TRACE(serve::engine_tag(engine));
-    serve::Request request;
-    request.circuit = &circ;
-    request.device = &dev;
-    request.swap_duration = 1;
-    request.engine = engine;
-    request.options.exchange = &hub;
-    const serve::Response response = server.serve(request);
-    ASSERT_TRUE(response.result.solved);
-    EXPECT_FALSE(response.cache_hit);
-    EXPECT_TRUE(layout::verify(problem, response.result).ok);
-    if (engine == serve::Engine::kDepth) {
-      EXPECT_EQ(response.result.depth, depth_baseline.depth);
-    } else {
-      EXPECT_EQ(response.result.swap_count, swap_baseline.swap_count);
-    }
-  }
-
-  const sat::ClauseExchange::Traffic after = hub.traffic();
-  EXPECT_EQ(after.published, 0u);
-  EXPECT_EQ(after.bound_facts, poisoned.bound_facts);
-  EXPECT_EQ(after.bound_pruned, 0u);
 }
 
 }  // namespace

@@ -392,5 +392,32 @@ TEST(SolverPolarity, InitialPhaseIsHonoredWhenFree) {
   EXPECT_EQ(s.model_value(b), LBool::kTrue);
 }
 
+TEST(SolverVsids, SeedZeroIsANoOp) {
+  Solver a;
+  Solver b;
+  std::vector<std::vector<Var>> pa;
+  std::vector<std::vector<Var>> pb;
+  add_pigeonhole(a, 5, 5, pa);
+  add_pigeonhole(b, 5, 5, pb);
+  a.set_vsids_seed(0);
+  b.set_vsids_seed(0);
+  EXPECT_EQ(a.solve(), LBool::kTrue);
+  EXPECT_EQ(b.solve(), LBool::kTrue);
+  EXPECT_EQ(a.stats().conflicts, b.stats().conflicts);
+  EXPECT_EQ(a.stats().decisions, b.stats().decisions);
+}
+
+TEST(SolverVsids, SeedIsReproducible) {
+  const auto run = [](std::uint64_t seed) {
+    Solver s;
+    std::vector<std::vector<Var>> p;
+    add_pigeonhole(s, 6, 5, p);
+    s.set_vsids_seed(seed);
+    EXPECT_EQ(s.solve(), LBool::kFalse);
+    return s.stats().decisions;
+  };
+  EXPECT_EQ(run(42), run(42));
+}
+
 }  // namespace
 }  // namespace olsq2::sat

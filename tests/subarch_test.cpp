@@ -145,20 +145,6 @@ TEST(SubarchCover, InteractionConnectivityPredicate) {
   EXPECT_FALSE(interaction_connected(silent));
 }
 
-TEST(SubarchCover, GreedyRegionIsConnectedAndDeterministic) {
-  const device::Device dev = device::ibm_eagle127();
-  for (int m : {5, 9, 16}) {
-    const SubDevice region = greedy_region(dev, m);
-    ASSERT_EQ(region.device.num_qubits(), m);
-    ASSERT_EQ(static_cast<int>(region.to_full.size()), m);
-    for (int p = 0; p < m; ++p) {
-      EXPECT_LT(region.device.distance(0, p), m) << "region disconnected";
-    }
-    const SubDevice again = greedy_region(dev, m);
-    EXPECT_EQ(region.to_full, again.to_full);
-  }
-}
-
 TEST(SubarchLadder, MatchesDirectOnSmallDevices) {
   // Force the ladder onto devices the direct engine handles instantly and
   // require identical certified optima (the fuzz oracle sweeps this
@@ -317,8 +303,10 @@ TEST(SubarchLadder, LargeRootSpaceProbesStayOnTb) {
 
 TEST(SubarchLift, ProjectionRoundTrip) {
   const device::Device full = device::ibm_eagle127();
-  // An arbitrary connected region as the subdevice.
-  const SubDevice sd = greedy_region(full, 6);
+  // A connected 6-qubit region: the representative of one cover class.
+  const Cover cover = enumerate_cover(full, 6);
+  ASSERT_FALSE(cover.classes.empty());
+  const SubDevice& sd = cover.classes.front().rep;
   // A sub-space mapping row; lift then project must round-trip.
   std::vector<int> sub_mapping = {2, 0, 5, 1};  // 4 program qubits
   std::vector<int> full_mapping(sub_mapping.size());

@@ -13,7 +13,6 @@
 #include "layout/verifier.h"
 #include "layout/windowed.h"
 #include "obs/obs.h"
-#include "sat/exchange.h"
 
 namespace olsq2::layout {
 namespace {
@@ -134,36 +133,6 @@ TEST(TbCompression, OptimumAtBminMinusOneNeedsNoDescentProof) {
                                 << *swap_bound;
     }
   }
-}
-
-// TB bounds count blocks, not depth, so the driver must never consult the
-// depth-keyed bound facts of a hub handed in through the options - even
-// facts that, misread as block facts, would cut the descent short.
-TEST(TbDriver, NeverReadsBoundFacts) {
-  const auto c = bengen::qaoa_3regular(6, 2);
-  const device::Device dev = device::grid(2, 3);
-  const Problem problem{&c, &dev, 1};
-  const Result plain = tb_synthesize_swap_optimal(problem);
-  ASSERT_TRUE(plain.solved);
-  ASSERT_FALSE(plain.hit_budget);
-  const int blocks = plain.pareto.back().first;
-
-  sat::ClauseExchange hub;
-  hub.note_depth_unsat(blocks);
-  hub.note_swap_unsat(blocks, plain.swap_count);
-  OptimizerOptions options;
-  options.exchange = &hub;
-  const Result shared = tb_synthesize_swap_optimal(problem, {}, options);
-  ASSERT_TRUE(shared.solved);
-  EXPECT_EQ(shared.swap_count, plain.swap_count);
-  EXPECT_EQ(shared.depth, plain.depth);
-  ASSERT_EQ(shared.calls.size(), plain.calls.size());
-  for (std::size_t i = 0; i < plain.calls.size(); ++i) {
-    EXPECT_EQ(shared.calls[i].depth_bound, plain.calls[i].depth_bound) << i;
-    EXPECT_EQ(shared.calls[i].swap_bound, plain.calls[i].swap_bound) << i;
-    EXPECT_EQ(shared.calls[i].status, plain.calls[i].status) << i;
-  }
-  EXPECT_EQ(hub.traffic().bound_pruned, 0u);
 }
 
 // A fixed solve arms the solver with the caller's cancel flag: one set

@@ -18,8 +18,8 @@
 //                 ratio of two timings compounds their noise, so its
 //                 tolerance is wider than the per-timing one.
 //   info         (swap_count -- racing portfolios legitimately return
-//                 different optimal-depth layouts -- exchange traffic,
-//                 runs_ms samples, peak_rss_bytes, and any unrecognized
+//                 different optimal-depth layouts -- the clause-exchange
+//                 traffic keys older baselines still carry, runs_ms samples, peak_rss_bytes, and any unrecognized
 //                 key): reported, never gating.
 //
 // A gated key present in the baseline but missing from the current run is a
